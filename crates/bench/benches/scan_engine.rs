@@ -1,7 +1,7 @@
 //! Scan-engine throughput: the end-to-end quicreach scan at 1 / 2 / 4 / 8
-//! workers, the batched (`SimNet`) vs per-probe exchange paths, the warm
-//! (resumption) scan path, and the streaming pump at the paper's million
-//! (and a ten-million stress row).
+//! workers, the serial cold scan with the warm (resumption) and
+//! post-quantum era paths as ratios against it, and the streaming pump at
+//! the paper's million (and a ten-million stress row).
 //!
 //! Unlike the figure benches this harness also *persists* its measurements:
 //! it writes a `BENCH_scan.json` to the workspace root so future changes
@@ -353,16 +353,10 @@ fn main() {
         records.len()
     );
 
-    // Batched (one SimNet per shard) vs per-probe (one exchange at a time),
-    // both serial so the comparison isolates the scheduling path.
-    let batched = time_mean(samples, || {
+    // The serial cold scan: the reference row the warm and post-quantum
+    // paths below are expressed against.
+    let cold = time_mean(samples, || {
         black_box(quicreach::scan_records(&world, &records, INITIAL).len());
-    });
-    let per_probe = time_mean(samples, || {
-        black_box(
-            quicreach::scan_records_per_probe(&world, &records, INITIAL, NetworkProfile::Ideal)
-                .len(),
-        );
     });
     // The warm (resumption) path probes every service twice — cold visit
     // with ticket issuance, then the resumed revisit.
@@ -392,19 +386,15 @@ fn main() {
             .len(),
         );
     });
-    eprintln!("scan path  batched    {batched:>10.4} s");
-    eprintln!(
-        "scan path  per-probe  {per_probe:>10.4} s  ({:.2}x)",
-        per_probe / batched
-    );
+    eprintln!("scan path  cold       {cold:>10.4} s");
     eprintln!(
         "scan path  warm       {warm:>10.4} s  ({warm_resumed} resumed, \
-         {:.2}x batched cold)",
-        warm / batched
+         {:.2}x cold)",
+        warm / cold
     );
     eprintln!(
-        "scan path  pq-era     {pq:>10.4} s  ({:.2}x batched classical)",
-        pq / batched
+        "scan path  pq-era     {pq:>10.4} s  ({:.2}x cold)",
+        pq / cold
     );
 
     // The engine end to end at 1 / 2 / 4 / 8 workers, each row with its
@@ -467,11 +457,11 @@ fn main() {
     json.push_str(&format!("  \"host_cpus\": {},\n", host_parallelism()));
     json.push_str(&format!("  \"smoke\": {},\n", smoke()));
     json.push_str("  \"scan_paths\": {\n");
-    json.push_str(&format!("    \"batched_seconds\": {batched:.6},\n"));
-    json.push_str(&format!("    \"per_probe_seconds\": {per_probe:.6}\n"));
+    json.push_str(&format!("    \"cold_seconds\": {cold:.6}\n"));
     json.push_str("  },\n");
     json.push_str("  \"scan_warm\": {\n");
     json.push_str(&format!("    \"seconds\": {warm:.6},\n"));
+    json.push_str(&format!("    \"vs_cold\": {:.3},\n", warm / cold));
     json.push_str(&format!("    \"resumed\": {warm_resumed},\n"));
     json.push_str(&format!(
         "    \"policy\": \"{}\"\n",
@@ -480,6 +470,7 @@ fn main() {
     json.push_str("  },\n");
     json.push_str("  \"scan_pq_era\": {\n");
     json.push_str(&format!("    \"seconds\": {pq:.6},\n"));
+    json.push_str(&format!("    \"vs_cold\": {:.3},\n", pq / cold));
     json.push_str(&format!(
         "    \"era\": \"{}\"\n",
         CertificateEra::PostQuantum.name()

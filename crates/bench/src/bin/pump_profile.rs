@@ -3,6 +3,13 @@
 //! (`MIN_ADAPTIVE_CHUNK`/`MAX_ADAPTIVE_CHUNK` in `quicert_core::engine`)
 //! on a new host: sweep fixed chunk sizes and compare against `0`.
 //!
+//! Every probe runs its own handshake loop, so the chunk size does not
+//! change per-probe simulation cost. It trades cursor contention (one
+//! atomic claim per chunk) against tail balance (how long the last
+//! workers drain their final chunks) and against memo warm-up (a
+//! scenario class joins the memo only when the chunk that first
+//! simulated it ends).
+//!
 //! ```sh
 //! cargo run --release -p quicert-bench --bin pump_profile -- 100000 1 0
 //! #                                          domains ──┘      │  └─ chunk (0 = adaptive)

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use quicert_analysis::Merge;
@@ -47,16 +47,19 @@ use quicert_scanner::telescope_scan::{self, BackscatterSession};
 use quicert_scanner::zmap::{self, ZmapResult};
 use quicert_session::ResumptionPolicy;
 
-/// Smallest chunk the adaptive pump claims: keeps `SimNet` batching
-/// amortised even at the tail of the population.
+/// Smallest chunk the adaptive pump claims: bounds cursor traffic (one
+/// atomic `fetch_add` per claim) and per-chunk work (buffer refill,
+/// metrics flush) even at the tail of the population.
 pub const MIN_ADAPTIVE_CHUNK: usize = 64;
 
-/// Largest chunk the adaptive pump claims. Deliberately modest: probe
-/// batches share one `SimNet` event heap, so per-event cost grows with the
-/// batch (heap log factor, cold session state), and profiling the 100k
-/// pump showed 64–256-record claims 20–40% faster than the old fixed 1024.
-/// Claim overhead is one atomic `fetch_add` per chunk — noise even at ten
-/// million records.
+/// Largest chunk the adaptive pump claims. Every probe runs its own
+/// handshake loop, so claim size does not change per-probe cost; it
+/// trades cursor contention against tail balance. Claims above a few
+/// hundred records save nothing measurable on the cursor but leave one
+/// worker draining a long final chunk while the others idle, and the
+/// scenario-class memo only learns a class at the end of the chunk that
+/// first simulated it, so larger claims also simulate more same-class
+/// records twice.
 pub const MAX_ADAPTIVE_CHUNK: usize = 256;
 
 /// The host's core count (1 when it cannot be determined). The pump and
@@ -71,8 +74,8 @@ pub fn host_parallelism() -> usize {
 /// The chunk a pump worker claims next under adaptive granularity: an
 /// eighth of the remaining population per worker, clamped to
 /// [[`MIN_ADAPTIVE_CHUNK`], [`MAX_ADAPTIVE_CHUNK`]]. Early claims are
-/// large (cheap cursor traffic, good batching); tail claims shrink so no
-/// worker sits idle while one drains a final oversized chunk.
+/// large (cheap cursor traffic); tail claims shrink so no worker sits idle
+/// while one drains a final oversized chunk.
 fn adaptive_claim(remaining: usize, workers: usize) -> usize {
     (remaining / (workers * 8).max(1)).clamp(MIN_ADAPTIVE_CHUNK, MAX_ADAPTIVE_CHUNK)
 }
@@ -127,12 +130,16 @@ impl ScenarioKey {
 
 /// One lazily-computed artifact family, keyed by scan parameters.
 ///
-/// The first request for a key computes the artifact (outside the lock, so
-/// engine methods may nest — the sweep pulls per-size quicreach artifacts);
-/// every later request returns the same `Arc` allocation.
+/// The first request for a key computes the artifact; every later request
+/// returns the same `Arc` allocation. The map lock is held only to find or
+/// insert the key's cell: the artifact is computed outside it, so engine
+/// methods may nest (the sweep pulls per-size quicreach artifacts). The
+/// cell is single-flight: concurrent first requests for one key compute
+/// once, the others wait for that result, and only the computing request
+/// counts as a miss.
 #[derive(Debug)]
 struct ArtifactCache<K, V> {
-    map: Mutex<HashMap<K, Arc<V>>>,
+    map: Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
 }
@@ -158,14 +165,17 @@ impl<K: Eq + Hash, V> ArtifactCache<K, V> {
     }
 
     fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
-        if let Some(value) = self.map.lock().unwrap().get(&key) {
+        let cell = Arc::clone(self.map.lock().unwrap().entry(key).or_default());
+        let mut computed = false;
+        let value = cell.get_or_init(|| {
+            computed = true;
+            self.misses.inc();
+            Arc::new(compute())
+        });
+        if !computed {
             self.hits.inc();
-            return Arc::clone(value);
         }
-        self.misses.inc();
-        let value = Arc::new(compute());
-        // First insertion wins so concurrent callers agree on one allocation.
-        Arc::clone(self.map.lock().unwrap().entry(key).or_insert(value))
+        Arc::clone(value)
     }
 }
 
@@ -323,8 +333,8 @@ impl PumpStats {
 ///   [[`MIN_ADAPTIVE_CHUNK`], [`MAX_ADAPTIVE_CHUNK`]], so claims start
 ///   large and taper near the tail.
 /// * Each worker builds one `scratch` via `make_scratch` and hands it to
-///   every `fold` call, letting record-heavy folds (probe batches) reuse
-///   their allocations across millions of records.
+///   every `fold` call, letting folds keep per-worker state (the
+///   scenario-class memo, reusable buffers) across millions of records.
 /// * Threads are capped at [`host_parallelism`]; a single effective
 ///   worker runs the same claim loop inline without spawning.
 pub fn stream_sharded_scratch<S, T, MS, F>(
@@ -713,9 +723,9 @@ impl ScanEngine {
 
     /// quicreach classifications under an explicit [`CertificateEra`] and
     /// [`NetworkProfile`] — one cached artifact per `(era, profile, size)`
-    /// triple. Each worker shard is batched as sessions of one `SimNet`;
+    /// triple. Each worker probes its shard one handshake at a time;
     /// per-record RNG forking keeps the artifact bit-for-bit identical at
-    /// any worker count and batch size, on every era.
+    /// any worker count and shard size, on every era.
     pub fn quicreach_era(
         &self,
         era: CertificateEra,
@@ -779,8 +789,8 @@ impl ScanEngine {
 
     /// The cold-then-warm resumption scan under an explicit
     /// [`CertificateEra`], [`NetworkProfile`] and [`ResumptionPolicy`] —
-    /// one cached artifact per `(era, profile, policy, size)` tuple. Worker
-    /// shards batch their cold and warm visits on one `SimNet` each;
+    /// one cached artifact per `(era, profile, policy, size)` tuple. Each
+    /// record's cold and warm visits run as one resumption probe;
     /// per-record RNG forking keeps the artifact bit-for-bit identical at
     /// any worker count.
     pub fn warm_scan_era(
@@ -1082,6 +1092,36 @@ mod tests {
             ..WorldConfig::default()
         });
         ScanEngine::new(world, 1362, workers)
+    }
+
+    #[test]
+    fn artifact_cache_is_single_flight_under_concurrent_misses() {
+        let registry = MetricsRegistry::new();
+        let cache: ArtifactCache<u32, usize> = ArtifactCache::new(&registry, "hammer");
+        let computes = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(8);
+        let values: Vec<Arc<usize>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.get_or_compute(7, || {
+                            computes.fetch_add(1, Ordering::SeqCst);
+                            // Hold the first computation open long enough
+                            // that every other thread requests the key
+                            // while it is still missing.
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            42
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(computes.load(Ordering::SeqCst), 1, "one compute per key");
+        assert_eq!(cache.misses.get(), 1);
+        assert_eq!(cache.hits.get(), 7);
+        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])));
     }
 
     #[test]

@@ -1,24 +1,27 @@
-//! The endpoint/wire vocabulary of the simulator and the classic
-//! two-party [`run_exchange`] entry point.
+//! The endpoint/wire vocabulary of the simulator and its one event loop,
+//! [`run_exchange`].
 //!
 //! QUIC scans are pairwise (scanner ↔ server): a [`Wire`] with one
-//! [`LinkModel`] per direction connects two [`Endpoint`] state machines.
-//! Since the `SimNet` refactor the actual scheduling lives in
-//! [`crate::simnet::SimNet`], which multiplexes any number of such pairs on
-//! one shared event heap; [`run_exchange`] survives as a thin one-session
-//! wrapper so existing callers keep their exact semantics (including RNG
-//! stream advancement and fault-counter accumulation on the caller's wire).
+//! [`LinkModel`] per direction connects two [`Endpoint`] state machines,
+//! and every measured number belongs to one such connection. Sessions
+//! share no state, so each exchange runs on its own local event heap;
+//! scanners loop over records and call [`run_exchange`] once per probe.
 //!
 //! Every datagram offered to the wire is recorded as a [`TraceEvent`], so
 //! measurements (amplification factors, handshake byte splits, RTT counts)
 //! are taken from the *wire view*, exactly like the paper's passive
 //! perspective, and not from what an implementation believes it sent.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::{Arc, OnceLock};
+
+use quicert_obs::{Counter, MetricsRegistry};
+
 use crate::datagram::Datagram;
 use crate::fault::FaultInjector;
-use crate::link::LinkModel;
+use crate::link::{Delivery, LinkModel};
 use crate::rng::SimRng;
-use crate::simnet::SimNet;
 use crate::time::{SimDuration, SimTime};
 
 /// Which endpoint sent a datagram.
@@ -60,27 +63,6 @@ pub trait Endpoint {
 
     /// Whether this endpoint considers its part of the exchange complete.
     fn is_done(&self) -> bool;
-}
-
-/// Mutable references are endpoints too, so callers can keep ownership of
-/// their state machines while a [`SimNet`] session borrows them (this is
-/// what lets [`run_exchange`] wrap a `SimNet` without changing signature).
-impl<E: Endpoint + ?Sized> Endpoint for &mut E {
-    fn start(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
-        (**self).start(now, out)
-    }
-    fn on_datagram(&mut self, dgram: &Datagram, now: SimTime, out: &mut Vec<Datagram>) {
-        (**self).on_datagram(dgram, now, out)
-    }
-    fn on_timer(&mut self, now: SimTime, out: &mut Vec<Datagram>) {
-        (**self).on_timer(now, out)
-    }
-    fn next_timer(&self) -> Option<SimTime> {
-        (**self).next_timer()
-    }
-    fn is_done(&self) -> bool {
-        (**self).is_done()
-    }
 }
 
 /// A bidirectional path between two endpoints.
@@ -225,30 +207,236 @@ impl ExchangeOutcome {
     }
 }
 
+/// Process-wide event-loop counters on [`MetricsRegistry::global`],
+/// flushed once per [`run_exchange`] so the per-event path never touches a
+/// shared atomic.
+struct NetMetrics {
+    events: Arc<Counter>,
+    timer_fires: Arc<Counter>,
+    drops: Arc<Counter>,
+    corruptions: Arc<Counter>,
+    duplications: Arc<Counter>,
+}
+
+fn net_metrics() -> &'static NetMetrics {
+    static METRICS: OnceLock<NetMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let registry = MetricsRegistry::global();
+        NetMetrics {
+            events: registry.counter(
+                "quicert_netsim_events_total",
+                "Simulator events processed (deliveries and timer fires)",
+            ),
+            timer_fires: registry.counter(
+                "quicert_netsim_timer_fires_total",
+                "Simulator timer events fired",
+            ),
+            drops: registry.counter(
+                "quicert_netsim_fault_drops_total",
+                "Datagrams removed by fault injectors",
+            ),
+            corruptions: registry.counter(
+                "quicert_netsim_fault_corruptions_total",
+                "Datagrams corrupted by fault injectors",
+            ),
+            duplications: registry.counter(
+                "quicert_netsim_fault_duplications_total",
+                "Datagrams duplicated by fault injectors",
+            ),
+        }
+    })
+}
+
+/// A datagram in flight, queued for delivery at `at`.
+struct Pending {
+    at: SimTime,
+    /// Send sequence number: equal-time deliveries arrive in send order.
+    seq: u64,
+    direction: Direction,
+    dgram: Datagram,
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl Eq for Pending {}
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
+/// Fault-injector totals (drops, corruptions, duplications) on both
+/// directions of a wire.
+fn fault_totals(wire: &Wire) -> (u64, u64, u64) {
+    (
+        wire.fault_a_to_b.drops() + wire.fault_b_to_a.drops(),
+        wire.fault_a_to_b.corruptions() + wire.fault_b_to_a.corruptions(),
+        wire.fault_a_to_b.duplications() + wire.fault_b_to_a.duplications(),
+    )
+}
+
 /// Run an exchange between endpoint `a` (initiator) and endpoint `b` over
 /// `wire` until both endpoints are done, nothing remains in flight and no
 /// timers are pending — or until `limits` are hit.
 ///
-/// This is a thin one-session wrapper over [`SimNet`], preserved for the
-/// many call sites that probe a single pair. The caller's `wire` (fault
-/// counters) and `rng` (stream position) are written back afterwards, so
-/// the function is bit-for-bit equivalent to the pre-`SimNet` two-endpoint
-/// loop — the equivalence test in `tests/` pins this against a verbatim
-/// copy of the old implementation.
-pub fn run_exchange(
-    a: &mut dyn Endpoint,
-    b: &mut dyn Endpoint,
+/// Both `start` hooks run at [`SimTime::ZERO`]. Each step then takes the
+/// earliest of the next delivery and the two endpoints' timers; at equal
+/// times a delivery fires before a timer, deliveries fire in send order,
+/// and timer A fires before timer B. Every RNG draw comes from `rng`, in
+/// the order fault, duplication, link, so a fixed seed replays the
+/// exchange exactly. The caller's `wire` accumulates its fault counters
+/// and `rng` is left at its advanced stream position. The equivalence
+/// test in `tests/` pins this loop against a verbatim copy of the original
+/// two-endpoint implementation.
+pub fn run_exchange<A, B>(
+    a: &mut A,
+    b: &mut B,
     wire: &mut Wire,
     limits: ExchangeLimits,
     rng: &mut SimRng,
-) -> ExchangeOutcome {
-    let mut net = SimNet::with_capacity(1);
-    let id = net.add_session(Box::new(a), Box::new(b), wire.clone(), limits, rng.clone());
-    net.run();
-    let (outcome, wire_back, rng_back) = net.take_parts(id);
-    *wire = wire_back;
-    *rng = rng_back;
+) -> ExchangeOutcome
+where
+    A: Endpoint + ?Sized,
+    B: Endpoint + ?Sized,
+{
+    let faults_before = fault_totals(wire);
+    let mut flight = InFlight::default();
+    let mut outbox = Vec::new();
+    let mut now = SimTime::ZERO;
+
+    a.start(now, &mut outbox);
+    flight.offer(&mut outbox, Direction::AtoB, now, wire, rng);
+    b.start(now, &mut outbox);
+    flight.offer(&mut outbox, Direction::BtoA, now, wire, rng);
+
+    let mut events = 0usize;
+    let mut timer_fires = 0u64;
+    let quiesced = loop {
+        if events >= limits.max_events {
+            break false;
+        }
+        let next_delivery = flight.queue.peek().map(|Reverse(p)| p.at);
+        let timer_a = a.next_timer();
+        let timer_b = b.next_timer();
+        let next = [next_delivery, timer_a, timer_b]
+            .into_iter()
+            .flatten()
+            .min();
+        let Some(at) = next.filter(|&at| at <= limits.deadline) else {
+            break a.is_done() && b.is_done();
+        };
+        now = at;
+        events += 1;
+        let direction = if next_delivery == Some(at) {
+            let Reverse(pending) = flight.queue.pop().expect("peeked delivery must exist");
+            match pending.direction {
+                Direction::AtoB => b.on_datagram(&pending.dgram, now, &mut outbox),
+                Direction::BtoA => a.on_datagram(&pending.dgram, now, &mut outbox),
+            }
+            pending.direction.flip()
+        } else {
+            timer_fires += 1;
+            if timer_a == Some(at) {
+                a.on_timer(now, &mut outbox);
+                Direction::AtoB
+            } else {
+                b.on_timer(now, &mut outbox);
+                Direction::BtoA
+            }
+        };
+        flight.offer(&mut outbox, direction, now, wire, rng);
+    };
+
+    let faults_after = fault_totals(wire);
+    let outcome = ExchangeOutcome {
+        trace: flight.trace,
+        finished_at: now,
+        quiesced,
+        fault_drops: faults_after.0 - faults_before.0,
+        fault_corruptions: faults_after.1 - faults_before.1,
+        fault_duplications: faults_after.2 - faults_before.2,
+    };
+    let metrics = net_metrics();
+    metrics.events.add(events as u64);
+    metrics.timer_fires.add(timer_fires);
+    metrics.drops.add(outcome.fault_drops);
+    metrics.corruptions.add(outcome.fault_corruptions);
+    metrics.duplications.add(outcome.fault_duplications);
     outcome
+}
+
+/// The wire side of one exchange: datagrams in flight, ordered by
+/// `(arrival, send sequence)`, and the trace of every transmission.
+#[derive(Default)]
+struct InFlight {
+    queue: BinaryHeap<Reverse<Pending>>,
+    trace: Vec<TraceEvent>,
+    seq: u64,
+}
+
+impl InFlight {
+    /// Offer every datagram in `outbox` to the wire: apply the fault
+    /// injector, then the link model, queueing deliveries and recording
+    /// one [`TraceEvent`] per datagram copy. RNG draw order: fault first,
+    /// then (optional) duplication, then one link draw per copy.
+    /// Injectors with every chance at zero leave the stream untouched.
+    fn offer(
+        &mut self,
+        outbox: &mut Vec<Datagram>,
+        direction: Direction,
+        now: SimTime,
+        wire: &mut Wire,
+        rng: &mut SimRng,
+    ) {
+        let (link, fault) = match direction {
+            Direction::AtoB => (&wire.a_to_b, &mut wire.fault_a_to_b),
+            Direction::BtoA => (&wire.b_to_a, &mut wire.fault_b_to_a),
+        };
+        for mut dgram in outbox.drain(..) {
+            dgram.sent_at = now;
+            let payload_len = dgram.payload_len();
+            let Some(dgram) = fault.apply(rng, dgram) else {
+                self.trace.push(TraceEvent {
+                    sent_at: now,
+                    direction,
+                    payload_len,
+                    outcome: Err(DropReason::Fault),
+                });
+                continue;
+            };
+            let duplicate = fault.maybe_duplicate(rng).then(|| dgram.clone());
+            for dgram in std::iter::once(dgram).chain(duplicate) {
+                let outcome = match link.deliver(rng, &dgram, now) {
+                    Delivery::Arrives(at) => {
+                        self.seq += 1;
+                        self.queue.push(Reverse(Pending {
+                            at,
+                            seq: self.seq,
+                            direction,
+                            dgram,
+                        }));
+                        Ok(at)
+                    }
+                    Delivery::LostRandom => Err(DropReason::Loss),
+                    Delivery::LostMtu(size) => Err(DropReason::Mtu(size)),
+                };
+                self.trace.push(TraceEvent {
+                    sent_at: now,
+                    direction,
+                    payload_len,
+                    outcome,
+                });
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -295,6 +483,47 @@ mod tests {
     impl Endpoint for Echoer {
         fn on_datagram(&mut self, d: &Datagram, _now: SimTime, out: &mut Vec<Datagram>) {
             out.push(d.reply_with(d.payload.clone()));
+        }
+        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn next_timer(&self) -> Option<SimTime> {
+            None
+        }
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+
+    /// A burst sender: emits `n` datagrams at once so several deliveries
+    /// share one arrival timestamp.
+    struct Burst {
+        n: usize,
+    }
+
+    impl Endpoint for Burst {
+        fn start(&mut self, _now: SimTime, out: &mut Vec<Datagram>) {
+            for i in 0..self.n {
+                out.push(Datagram::new(A, B, 1000, 443, vec![i as u8; 10 + i]));
+            }
+        }
+        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
+        fn next_timer(&self) -> Option<SimTime> {
+            None
+        }
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+
+    /// Records the payload sizes it receives, in arrival order.
+    #[derive(Default)]
+    struct Recorder {
+        seen: Vec<usize>,
+    }
+
+    impl Endpoint for Recorder {
+        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, _out: &mut Vec<Datagram>) {
+            self.seen.push(d.payload_len());
         }
         fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
         fn next_timer(&self) -> Option<SimTime> {
@@ -358,6 +587,27 @@ mod tests {
     }
 
     #[test]
+    fn outcome_surfaces_fault_counters() {
+        let mut wire = Wire::ideal(SimDuration::from_millis(1));
+        wire.fault_a_to_b = FaultInjector::dropping(1.0);
+        let out = run_exchange(
+            &mut Pinger {
+                remaining: 1,
+                awaiting: false,
+            },
+            &mut Echoer,
+            &mut wire,
+            ExchangeLimits::default(),
+            &mut SimRng::new(3),
+        );
+        assert!(!out.quiesced);
+        assert_eq!(out.fault_drops, 1);
+        assert_eq!(out.fault_corruptions, 0);
+        assert_eq!(out.fault_duplications, 0);
+        assert_eq!(wire.fault_a_to_b.drops(), 1);
+    }
+
+    #[test]
     fn max_events_guards_against_runaway() {
         let mut pinger = Pinger {
             remaining: u32::MAX,
@@ -401,6 +651,103 @@ mod tests {
         );
         assert!(out.finished_at <= SimTime::ZERO + SimDuration::from_secs(1));
         assert!(!out.quiesced);
+    }
+
+    #[test]
+    fn equal_timestamp_deliveries_arrive_in_send_order() {
+        // A burst of datagrams over a zero-jitter wire all arrive at the
+        // same instant; the recorder must see them in send (seq) order.
+        let mut recorder = Recorder::default();
+        let out = run_exchange(
+            &mut Burst { n: 8 },
+            &mut recorder,
+            &mut Wire::ideal(SimDuration::from_millis(5)),
+            ExchangeLimits::default(),
+            &mut SimRng::new(2),
+        );
+        assert!(out.quiesced);
+        assert_eq!(recorder.seen, (0..8).map(|i| 10 + i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn duplicating_injector_delivers_every_datagram_twice() {
+        let mut recorder = Recorder::default();
+        let mut wire = Wire::ideal(SimDuration::from_millis(5));
+        wire.fault_a_to_b = FaultInjector::duplicating(1.0);
+        let out = run_exchange(
+            &mut Burst { n: 4 },
+            &mut recorder,
+            &mut wire,
+            ExchangeLimits::default(),
+            &mut SimRng::new(7),
+        );
+        assert!(out.quiesced);
+        // One trace event per copy, no drops, and the duplication count
+        // surfaces on the outcome itself (not just the wire).
+        assert_eq!(out.datagrams(Direction::AtoB), 8);
+        assert_eq!(out.fault_drops, 0);
+        assert_eq!(out.fault_duplications, 4);
+        assert_eq!(wire.fault_a_to_b.duplications(), 4);
+        // Each payload arrives twice, copies adjacent in send order.
+        assert_eq!(recorder.seen, vec![10, 10, 11, 11, 12, 12, 13, 13]);
+    }
+
+    #[test]
+    fn fault_counts_on_a_reused_wire_are_per_exchange_deltas() {
+        let mut wire = Wire::ideal(SimDuration::from_millis(5));
+        wire.fault_a_to_b = FaultInjector::duplicating(1.0);
+        let mut rng = SimRng::new(8);
+        for _ in 0..2 {
+            let out = run_exchange(
+                &mut Burst { n: 3 },
+                &mut Recorder::default(),
+                &mut wire,
+                ExchangeLimits::default(),
+                &mut rng,
+            );
+            assert_eq!(out.fault_duplications, 3);
+        }
+        assert_eq!(wire.fault_a_to_b.duplications(), 6);
+    }
+
+    #[test]
+    fn max_events_zero_finishes_immediately_unquiesced() {
+        let mut pinger = Pinger {
+            remaining: 1,
+            awaiting: false,
+        };
+        let out = run_exchange(
+            &mut pinger,
+            &mut Echoer,
+            &mut Wire::ideal(SimDuration::from_millis(1)),
+            ExchangeLimits {
+                max_events: 0,
+                ..ExchangeLimits::default()
+            },
+            &mut SimRng::new(4),
+        );
+        assert!(!out.quiesced);
+        assert_eq!(out.finished_at, SimTime::ZERO);
+        // The Initial was offered to the wire but never delivered.
+        assert_eq!(out.datagrams(Direction::AtoB), 1);
+        assert_eq!(pinger.remaining, 1);
+    }
+
+    #[test]
+    fn nothing_to_do_quiesces_at_zero() {
+        let out = run_exchange(
+            &mut Pinger {
+                remaining: 0,
+                awaiting: false,
+            },
+            &mut Echoer,
+            &mut Wire::ideal(SimDuration::from_millis(1)),
+            ExchangeLimits::default(),
+            &mut SimRng::new(5),
+        );
+        assert!(out.quiesced);
+        assert_eq!(out.finished_at, SimTime::ZERO);
+        assert!(out.trace.is_empty());
     }
 
     #[test]

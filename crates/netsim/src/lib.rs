@@ -5,9 +5,10 @@
 //! constraints, tunnel encapsulation (the load-balancer effect of §4.1 of the
 //! paper), a network telescope for observing backscatter from spoofed
 //! handshakes (§4.3), named [`NetworkProfile`] link-condition overlays, and
-//! [`SimNet`] — a discrete-event scheduler multiplexing any number of
-//! endpoint pairs on one shared timeline ([`run_exchange`] remains as its
-//! classic two-endpoint wrapper).
+//! [`run_exchange`] — the one discrete-event loop, which drives two
+//! endpoints over a [`Wire`] on a local event heap. Every number the paper
+//! reports belongs to one connection, so callers run one exchange per
+//! probe.
 //!
 //! Everything is deterministic: all randomness flows from a [`SimRng`] seeded
 //! with a caller-provided `u64`, so every experiment in the workspace is
@@ -25,7 +26,6 @@ pub mod faultplan;
 pub mod link;
 pub mod profile;
 pub mod rng;
-pub mod simnet;
 pub mod telescope;
 pub mod time;
 
@@ -37,6 +37,5 @@ pub use faultplan::FaultPlan;
 pub use link::{Delivery, LinkModel};
 pub use profile::NetworkProfile;
 pub use rng::{FastHashBuilder, FastHasher, SimRng};
-pub use simnet::{SessionId, SimNet};
 pub use telescope::{BackscatterRecord, Telescope};
 pub use time::{SimDuration, SimTime};

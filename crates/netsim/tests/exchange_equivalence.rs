@@ -1,12 +1,16 @@
-//! Pins the `run_exchange` wrapper bit-for-bit against the pre-`SimNet`
-//! two-endpoint event loop.
+//! Pins `run_exchange`, the simulator's one event loop, bit-for-bit
+//! against an independent reference implementation.
 //!
-//! `reference_run_exchange` below is a verbatim copy of the implementation
-//! that shipped before the `SimNet` refactor (modulo the two fault-counter
-//! fields that did not exist then). Every scenario — ideal ping-pong,
-//! lossy jittery wires, retransmission timers, fault injection, MTU drops,
-//! deadlines and event budgets — must produce an identical trace, finish
-//! time, quiescence flag and RNG stream position through both paths.
+//! `reference_run_exchange` below is a verbatim copy of the two-endpoint
+//! loop that shipped before the `SimNet` refactor (modulo the two
+//! fault-counter fields that did not exist then). `SimNet` has since been
+//! retired and `run_exchange` is again a two-endpoint loop, written anew;
+//! this copy stays frozen as the reference it must reproduce. Every
+//! scenario — ideal ping-pong, lossy jittery wires, retransmission timers,
+//! fault injection, MTU drops, deadlines and event budgets — must produce
+//! an identical trace, finish time, quiescence flag and RNG stream
+//! position through both paths. (The reference predates duplication, so
+//! no scenario here duplicates; the unit tests in `event.rs` cover it.)
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -8,8 +8,7 @@
 
 use quicert_netsim::event::Direction;
 use quicert_netsim::{
-    run_exchange, Datagram, Endpoint, ExchangeLimits, ExchangeOutcome, SessionId, SimDuration,
-    SimNet, SimRng, SimTime, Wire,
+    run_exchange, Datagram, ExchangeLimits, ExchangeOutcome, SimDuration, SimRng, SimTime, Wire,
 };
 use quicert_obs::HandshakeTimeline;
 use quicert_session::{SessionCache, SessionTicket};
@@ -44,33 +43,6 @@ fn spoofed_limits() -> ExchangeLimits {
         deadline: SimTime::ZERO + SimDuration::from_secs(300),
         max_events: 100_000,
     }
-}
-
-/// Drive N borrowed endpoint pairs as sessions of one [`SimNet`] and hand
-/// back each session's `(outcome, wire)` in input order. Shared by both
-/// batch drivers so the wire/RNG threading can never diverge between the
-/// handshake and spoofed paths.
-fn drive_sessions<A: Endpoint, B: Endpoint>(
-    initiators: &mut [A],
-    responders: &mut [B],
-    wires: Vec<Wire>,
-    rngs: Vec<SimRng>,
-    limits: ExchangeLimits,
-) -> Vec<(ExchangeOutcome, Wire)> {
-    let mut net = SimNet::with_capacity(initiators.len());
-    let ids: Vec<SessionId> = initiators
-        .iter_mut()
-        .zip(responders.iter_mut())
-        .zip(wires.into_iter().zip(rngs))
-        .map(|((a, b), (wire, rng))| net.add_session(Box::new(a), Box::new(b), wire, limits, rng))
-        .collect();
-    net.run();
-    ids.into_iter()
-        .map(|id| {
-            let (outcome, wire, _rng) = net.take_parts(id);
-            (outcome, wire)
-        })
-        .collect()
 }
 
 /// The handshake classes of §3.2 / §4.1.
@@ -185,8 +157,8 @@ impl HandshakeOutcome {
 
 /// Turn one finished exchange into the paper's handshake measurements.
 ///
-/// Shared by the single-probe [`run_handshake`] and the batched
-/// [`run_handshake_batch`], so both paths measure identically.
+/// Shared by the cold and warm visits of every probe, so all handshakes
+/// measure identically.
 fn extract_handshake_outcome(
     client: &ClientConn,
     server: &ServerConn,
@@ -255,6 +227,20 @@ fn extract_handshake_outcome(
     }
 }
 
+/// Run one complete handshake over `wire`, drawing from `SimRng::new(rng_seed)`.
+fn handshake(
+    client_config: ClientConfig,
+    server_config: ServerConfig,
+    wire: &mut Wire,
+    rng_seed: u64,
+) -> HandshakeOutcome {
+    let mut client = ClientConn::new(client_config);
+    let mut server = ServerConn::new(server_config);
+    let mut rng = SimRng::new(rng_seed);
+    let outcome = run_exchange(&mut client, &mut server, wire, handshake_limits(), &mut rng);
+    extract_handshake_outcome(&client, &server, wire, &outcome)
+}
+
 /// Run a complete handshake attempt.
 pub fn run_handshake(
     client_config: ClientConfig,
@@ -262,15 +248,16 @@ pub fn run_handshake(
     wire: &mut Wire,
     seed: u64,
 ) -> HandshakeOutcome {
-    let mut client = ClientConn::new(client_config);
-    let mut server = ServerConn::new(server_config);
-    let mut rng = SimRng::new(seed ^ HANDSHAKE_RNG_LABEL);
-    let outcome = run_exchange(&mut client, &mut server, wire, handshake_limits(), &mut rng);
-    extract_handshake_outcome(&client, &server, wire, &outcome)
+    handshake(
+        client_config,
+        server_config,
+        wire,
+        seed ^ HANDSHAKE_RNG_LABEL,
+    )
 }
 
-/// One probe of a batched handshake scan: everything [`run_handshake`]
-/// takes, as data.
+/// One handshake probe of a scan: everything [`run_handshake`] takes, as
+/// data.
 #[derive(Debug, Clone)]
 pub struct HandshakeProbe {
     /// Scanner/browser client configuration (Initial size, compression…).
@@ -279,59 +266,19 @@ pub struct HandshakeProbe {
     pub server: ServerConfig,
     /// The path between them, fault injectors included.
     pub wire: Wire,
-    /// Per-probe RNG seed; forked per record at world generation, so
-    /// results are independent of batch composition.
+    /// Per-probe RNG seed; forked per record at world generation, so a
+    /// probe's outcome depends on nothing but the probe itself.
     pub seed: u64,
 }
 
-/// Run a whole batch of handshake probes as sessions of one [`SimNet`],
-/// amortising the event heap and scratch buffers a per-probe loop would
-/// rebuild for every exchange.
-///
-/// Each probe draws from its own RNG stream (`seed ^ label`, exactly like
-/// [`run_handshake`]) and owns its wire, so the returned outcomes are
-/// **bit-for-bit identical** to calling [`run_handshake`] once per probe —
-/// at any batch size. The determinism tests pin this equivalence.
-pub fn run_handshake_batch(probes: Vec<HandshakeProbe>) -> Vec<HandshakeOutcome> {
-    let mut probes = probes;
-    let mut outcomes = Vec::with_capacity(probes.len());
-    run_handshake_batch_into(&mut probes, &mut outcomes);
-    outcomes
-}
-
-/// [`run_handshake_batch`] in allocation-reuse form: drains `probes`
-/// (keeping its capacity for the caller's next chunk) and appends one
-/// outcome per probe to `outcomes`, in probe order.
-///
-/// This is the streaming scan pump's entry point — a worker folds millions
-/// of records through one pair of scratch vectors instead of building and
-/// dropping a fresh `Vec` per chunk. Outcomes are bit-for-bit those of
-/// [`run_handshake_batch`].
-pub fn run_handshake_batch_into(
-    probes: &mut Vec<HandshakeProbe>,
-    outcomes: &mut Vec<HandshakeOutcome>,
-) {
-    let mut clients = Vec::with_capacity(probes.len());
-    let mut servers = Vec::with_capacity(probes.len());
-    let mut wires = Vec::with_capacity(probes.len());
-    let mut rngs = Vec::with_capacity(probes.len());
-    for probe in probes.drain(..) {
-        clients.push(ClientConn::new(probe.client));
-        servers.push(ServerConn::new(probe.server));
-        wires.push(probe.wire);
-        rngs.push(SimRng::new(probe.seed ^ HANDSHAKE_RNG_LABEL));
+impl HandshakeProbe {
+    /// Run the probe: [`run_handshake`] over the probe's own wire.
+    pub fn run(mut self) -> HandshakeOutcome {
+        run_handshake(self.client, self.server, &mut self.wire, self.seed)
     }
-
-    let parts = drive_sessions(&mut clients, &mut servers, wires, rngs, handshake_limits());
-    outcomes.reserve(parts.len());
-    outcomes.extend(parts.into_iter().zip(clients.iter().zip(&servers)).map(
-        |((outcome, wire), (client, server))| {
-            extract_handshake_outcome(client, server, &wire, &outcome)
-        },
-    ));
 }
 
-/// One probe of a batched cold-then-warm resumption scan: the first visit
+/// One cold-then-warm resumption probe: the first visit
 /// runs a full certificate-laden handshake against a ticket-issuing server;
 /// the second visit re-probes the same service with the cached ticket (when
 /// the policy offers one) at a later wall-clock instant.
@@ -369,115 +316,65 @@ pub struct ResumptionOutcome {
     pub offered_psk: bool,
 }
 
-/// Run a batch of resumption probes: all cold visits as sessions of one
-/// [`SimNet`], tickets collected into an LRU [`SessionCache`] keyed by SNI,
-/// then all warm visits as sessions of a second `SimNet`.
+/// Run one resumption probe: the cold visit, its ticket (if the server
+/// issued one) stamped with the visit's wall clock into a one-entry client
+/// [`SessionCache`], then the warm visit offering the cached ticket when
+/// [`ResumptionProbe::offer_ticket`] allows.
 ///
-/// Every visit draws from its own RNG stream (`seed ^ label`) and owns its
-/// wire, so outcomes are bit-for-bit independent of batch composition —
-/// sharding a record list and concatenating the shard outputs reproduces
-/// the whole-batch result exactly, at any shard size. That invariance
-/// **requires distinct `server_name`s across the batch** (checked by a
-/// debug assertion): the cache is a real client cache, so probes aliasing
-/// one SNI would overwrite each other's tickets and make the warm offer
-/// depend on who else shares the batch. The scanner satisfies this by
-/// using each record's unique domain name; the cache is sized to the
-/// batch, so LRU eviction never interferes either.
-pub fn run_resumption_batch(probes: Vec<ResumptionProbe>) -> Vec<ResumptionOutcome> {
-    #[cfg(debug_assertions)]
-    {
-        let mut names = std::collections::HashSet::new();
-        for probe in &probes {
-            debug_assert!(
-                names.insert(probe.client.server_name.as_str()),
-                "run_resumption_batch requires distinct server_names; \
-                 {:?} appears twice (aliased SNIs break shard invariance)",
-                probe.client.server_name
-            );
-        }
-    }
-    // Phase 1: cold visits, tickets issued.
-    let mut clients = Vec::with_capacity(probes.len());
-    let mut servers = Vec::with_capacity(probes.len());
-    let mut wires = Vec::with_capacity(probes.len());
-    let mut rngs = Vec::with_capacity(probes.len());
-    for probe in &probes {
-        let mut config = probe.client.clone();
-        config.psk = None;
-        clients.push(ClientConn::new(config));
-        servers.push(ServerConn::new(probe.server.clone()));
-        wires.push(probe.wire.clone());
-        rngs.push(SimRng::new(probe.seed ^ HANDSHAKE_RNG_LABEL));
-    }
-    let parts = drive_sessions(&mut clients, &mut servers, wires, rngs, handshake_limits());
-    let cold: Vec<HandshakeOutcome> = parts
-        .into_iter()
-        .zip(clients.iter().zip(&servers))
-        .map(|((outcome, wire), (client, server))| {
-            extract_handshake_outcome(client, server, &wire, &outcome)
-        })
-        .collect();
+/// Each visit draws from its own RNG stream (`seed ^ label`) and runs over
+/// its own wire, so the outcome is a pure function of the probe.
+pub fn run_resumption(probe: ResumptionProbe) -> ResumptionOutcome {
+    let ResumptionProbe {
+        client,
+        server,
+        mut wire,
+        mut warm_wire,
+        seed,
+        warm_now_secs,
+        offer_ticket,
+    } = probe;
 
-    // Tickets land in the client-side session cache, stamped with the
-    // wall clock of the visit that obtained them.
-    let mut cache = SessionCache::with_capacity(probes.len().max(1));
-    for (probe, out) in probes.iter().zip(&cold) {
-        if let Some(mut ticket) = out.ticket.clone() {
-            ticket.obtained_at_secs = probe
-                .server
-                .resumption
-                .as_ref()
-                .map(|host| host.now_secs)
-                .unwrap_or(0);
-            cache.insert(&probe.client.server_name, ticket);
-        }
+    let mut cold_client = client.clone();
+    cold_client.psk = None;
+    let cold = handshake(
+        cold_client,
+        server.clone(),
+        &mut wire,
+        seed ^ HANDSHAKE_RNG_LABEL,
+    );
+
+    let mut cache = SessionCache::with_capacity(1);
+    if let Some(mut ticket) = cold.ticket.clone() {
+        ticket.obtained_at_secs = server.resumption.as_ref().map_or(0, |host| host.now_secs);
+        cache.insert(&client.server_name, ticket);
     }
 
-    // Phase 2: warm visits.
-    let mut clients = Vec::with_capacity(probes.len());
-    let mut servers = Vec::with_capacity(probes.len());
-    let mut wires = Vec::with_capacity(probes.len());
-    let mut rngs = Vec::with_capacity(probes.len());
-    let mut offered = Vec::with_capacity(probes.len());
-    for probe in &probes {
-        let mut config = probe.client.clone();
-        config.seed ^= WARM_SEED_TWEAK;
-        config.psk = probe
-            .offer_ticket
-            .then(|| cache.lookup(&probe.client.server_name))
-            .flatten()
-            .map(|ticket| PskOffer {
-                identity: ticket.identity.clone(),
-                obfuscated_age: ticket.obfuscated_age(probe.warm_now_secs),
-            });
-        offered.push(config.psk.is_some());
-        let mut server = probe.server.clone();
-        server.resumption = server
-            .resumption
-            .map(|host| host.revisited_at(probe.warm_now_secs));
-        clients.push(ClientConn::new(config));
-        servers.push(ServerConn::new(server));
-        wires.push(probe.warm_wire.clone());
-        rngs.push(SimRng::new(probe.seed ^ WARM_RNG_LABEL));
-    }
-    let parts = drive_sessions(&mut clients, &mut servers, wires, rngs, handshake_limits());
-    let warm: Vec<HandshakeOutcome> = parts
-        .into_iter()
-        .zip(clients.iter().zip(&servers))
-        .map(|((outcome, wire), (client, server))| {
-            extract_handshake_outcome(client, server, &wire, &outcome)
-        })
-        .collect();
+    let mut warm_client = client;
+    warm_client.seed ^= WARM_SEED_TWEAK;
+    warm_client.psk = offer_ticket
+        .then(|| cache.lookup(&warm_client.server_name))
+        .flatten()
+        .map(|ticket| PskOffer {
+            identity: ticket.identity.clone(),
+            obfuscated_age: ticket.obfuscated_age(warm_now_secs),
+        });
+    let offered_psk = warm_client.psk.is_some();
+    let mut warm_server = server;
+    warm_server.resumption = warm_server
+        .resumption
+        .map(|host| host.revisited_at(warm_now_secs));
+    let warm = handshake(
+        warm_client,
+        warm_server,
+        &mut warm_wire,
+        seed ^ WARM_RNG_LABEL,
+    );
 
-    cold.into_iter()
-        .zip(warm)
-        .zip(offered)
-        .map(|((cold, warm), offered_psk)| ResumptionOutcome {
-            cold,
-            warm,
-            offered_psk,
-        })
-        .collect()
+    ResumptionOutcome {
+        cold,
+        warm,
+        offered_psk,
+    }
 }
 
 /// A backscatter datagram emitted by the server during a spoofed probe.
@@ -577,52 +474,6 @@ pub fn run_spoofed_probe(
     extract_spoofed_outcome(probe_size, &server, &outcome)
 }
 
-/// One probe of a batched spoofed-handshake scan.
-#[derive(Debug, Clone)]
-pub struct SpoofedProbe {
-    /// UDP payload size of the probe Initial.
-    pub probe_size: usize,
-    /// The (victim) source address written into the probe.
-    pub spoofed_src: std::net::Ipv4Addr,
-    /// The reflecting server's address.
-    pub server_addr: std::net::Ipv4Addr,
-    /// The reflecting server's configuration.
-    pub server: ServerConfig,
-    /// The path between prober and server.
-    pub wire: Wire,
-    /// Per-probe RNG seed.
-    pub seed: u64,
-}
-
-/// Run a batch of spoofed probes as sessions of one [`SimNet`]; outcomes
-/// are bit-for-bit identical to per-probe [`run_spoofed_probe`] calls in
-/// the same order, at any batch size.
-pub fn run_spoofed_probe_batch(probes: Vec<SpoofedProbe>) -> Vec<SpoofedOutcome> {
-    let mut clients = Vec::with_capacity(probes.len());
-    let mut servers = Vec::with_capacity(probes.len());
-    let mut wires = Vec::with_capacity(probes.len());
-    let mut rngs = Vec::with_capacity(probes.len());
-    let mut sizes = Vec::with_capacity(probes.len());
-    for probe in probes {
-        let mut config = ClientConfig::scanner(probe.probe_size, probe.server_addr, probe.seed);
-        config.src = probe.spoofed_src;
-        clients.push(SilentClient::new(config));
-        servers.push(ServerConn::new(probe.server));
-        wires.push(probe.wire);
-        rngs.push(SimRng::new(probe.seed ^ SPOOFED_RNG_LABEL));
-        sizes.push(probe.probe_size);
-    }
-
-    let parts = drive_sessions(&mut clients, &mut servers, wires, rngs, spoofed_limits());
-    parts
-        .into_iter()
-        .zip(servers.iter().zip(sizes))
-        .map(|((outcome, _wire), (server, probe_size))| {
-            extract_spoofed_outcome(probe_size, server, &outcome)
-        })
-        .collect()
-}
-
 /// Observe a spoofed probe's backscatter *into a telescope*: records every
 /// reflected datagram (with its SCID) as the telescope would see it.
 pub fn observe_backscatter(
@@ -648,6 +499,7 @@ mod tests {
     use super::*;
     use crate::server::ServerBehavior;
     use quicert_compress::Algorithm;
+    use quicert_netsim::Endpoint;
     use quicert_x509::{
         CertificateBuilder, CertificateChain, DistinguishedName, Extension, KeyAlgorithm,
         SignatureAlgorithm, SubjectPublicKeyInfo,
@@ -975,8 +827,6 @@ mod tests {
             seed ^ 0x57E4,
             1_000_000,
         ));
-        // One SNI per probe, as in a real scan: the session cache is keyed
-        // by host name, so shared names would alias cache entries.
         let mut client = ClientConfig::scanner(1362, SERVER, seed);
         client.server_name = format!("svc-{seed}.example");
         ResumptionProbe {
@@ -992,14 +842,13 @@ mod tests {
 
     #[test]
     fn warm_visit_resumes_without_certificates_and_fits_budget() {
-        let outs = run_resumption_batch(vec![resumption_probe(
+        let out = &run_resumption(resumption_probe(
             21,
             big_chain(),
             KeyAlgorithm::Rsa2048,
             1_000_060,
             true,
-        )]);
-        let out = &outs[0];
+        ));
         // Cold visit: the big chain forces extra RTTs, a ticket arrives.
         assert!(out.cold.completed);
         assert_eq!(out.cold.classify(), HandshakeClass::MultiRtt);
@@ -1022,14 +871,13 @@ mod tests {
         // Revisit long after the lifetime and two STEK rotations: the offer
         // is rejected and the full chain goes on the wire again.
         let stale = 1_000_000 + 7_200 + 2 * 3_600 + 1;
-        let outs = run_resumption_batch(vec![resumption_probe(
+        let out = &run_resumption(resumption_probe(
             22,
             big_chain(),
             KeyAlgorithm::Rsa2048,
             stale,
             true,
-        )]);
-        let out = &outs[0];
+        ));
         assert!(out.offered_psk, "the stale ticket is still offered");
         assert!(!out.warm.resumed, "but the server must reject it");
         assert!(out.warm.server_stats.certificate_message_len > 0);
@@ -1038,43 +886,16 @@ mod tests {
 
     #[test]
     fn cold_only_policy_never_offers() {
-        let outs = run_resumption_batch(vec![resumption_probe(
+        let out = run_resumption(resumption_probe(
             23,
             small_chain(),
             KeyAlgorithm::EcdsaP256,
             1_000_060,
             false,
-        )]);
-        assert!(!outs[0].offered_psk);
-        assert!(!outs[0].warm.resumed);
-        assert!(outs[0].warm.server_stats.certificate_message_len > 0);
-    }
-
-    #[test]
-    fn resumption_batch_is_composition_invariant() {
-        let probes: Vec<ResumptionProbe> = (0..9)
-            .map(|i| {
-                let chain = if i % 2 == 0 {
-                    big_chain()
-                } else {
-                    small_chain()
-                };
-                let key = if i % 2 == 0 {
-                    KeyAlgorithm::Rsa2048
-                } else {
-                    KeyAlgorithm::EcdsaP256
-                };
-                resumption_probe(100 + i, chain, key, 1_000_060, true)
-            })
-            .collect();
-        let whole = run_resumption_batch(probes.clone());
-        for chunk in [1usize, 2, 4] {
-            let pieces: Vec<ResumptionOutcome> = probes
-                .chunks(chunk)
-                .flat_map(|shard| run_resumption_batch(shard.to_vec()))
-                .collect();
-            assert_eq!(whole, pieces, "chunk size {chunk}");
-        }
+        ));
+        assert!(!out.offered_psk);
+        assert!(!out.warm.resumed);
+        assert!(out.warm.server_stats.certificate_message_len > 0);
     }
 
     #[test]

@@ -31,9 +31,8 @@ pub use amplification::{AmplificationBudget, LimitPolicy};
 pub use client::{ClientConfig, ClientConn};
 pub use frame::Frame;
 pub use handshake::{
-    run_handshake, run_handshake_batch, run_handshake_batch_into, run_resumption_batch,
-    run_spoofed_probe, run_spoofed_probe_batch, HandshakeOutcome, HandshakeProbe,
-    ResumptionOutcome, ResumptionProbe, SpoofedOutcome, SpoofedProbe,
+    run_handshake, run_resumption, run_spoofed_probe, HandshakeOutcome, HandshakeProbe,
+    ResumptionOutcome, ResumptionProbe, SpoofedOutcome,
 };
 pub use packet::{ConnectionId, Packet, PacketType, AEAD_TAG_LEN, QUIC_MIN_INITIAL_SIZE};
 pub use server::{ServerBehavior, ServerConfig, ServerConn};

@@ -1,18 +1,16 @@
 //! QUIC handshake classification (quicreach with Retry support, §3.2).
 //!
-//! Since the `SimNet` refactor a whole shard of probes is batched as
-//! sessions of one discrete-event network ([`scan_records`]), amortising
-//! the per-probe heap and buffer churn of the old one-exchange-at-a-time
-//! loop; [`scan_records_per_probe`] keeps that loop alive as the reference
-//! path for equivalence tests and the throughput benchmark. Every entry
-//! point also exists in a `NetworkProfile`-aware form, scanning the same
+//! Every probe is one handshake on its own wire and RNG stream, run by
+//! `quicert_quic`'s per-probe drivers ([`HandshakeProbe::run`] for cold
+//! scans, [`run_resumption`] for the warm path); the scan entry points
+//! loop over records and collect or fold the outcomes. Every entry point
+//! also exists in a `NetworkProfile`-aware form, scanning the same
 //! population under lossy / long-fat / tunneled path overlays.
 //!
-//! All three probe families — batched, per-probe, and the warm
-//! ([`warm_scan_records`]) resumption path — share one probe-construction
-//! helper (`probes_for`) and one collation helper (`collate`), so the
-//! probe parameters and the outcome→result mapping can never diverge
-//! between entry points.
+//! All probe families — materialized, streamed and warm — share one
+//! probe-construction helper (`probe_for`) and one outcome→result mapping
+//! ([`QuicReachResult`]'s `from_outcome`), so the probe parameters and
+//! the measurements can never diverge between entry points.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -25,10 +23,7 @@ use quicert_pki::{CertificateEra, DomainRecord, World};
 use quicert_quic::handshake::{
     HandshakeClass, HandshakeOutcome, HandshakeProbe, ResumptionOutcome, ResumptionProbe,
 };
-use quicert_quic::{
-    run_handshake, run_handshake_batch, run_handshake_batch_into, run_resumption_batch,
-    ClientConfig,
-};
+use quicert_quic::{run_resumption, ClientConfig};
 use quicert_session::{ResumptionHost, ResumptionPolicy, TicketConfig, TicketIssuer};
 
 use crate::behavior::{server_config_for_era, wire_for_profile};
@@ -336,8 +331,8 @@ impl Merge for QuicReachShard {
 /// chunk.
 ///
 /// The QUIC services of the chunk are probed through the same
-/// `probes_for`/`collate` pair every materialized entry point uses —
-/// batched as sessions of one `SimNet` — and immediately folded. Because
+/// `probe_for` builder every materialized entry point uses, one handshake
+/// per service, and immediately folded. Because
 /// probe outcomes are chunk-size invariant (per-record RNG forking) and
 /// the shard summary merges exactly, pumping any chunking of the
 /// population through this fold and merging the shards reproduces
@@ -540,14 +535,6 @@ impl ProbeMetrics {
     }
 }
 
-/// Where a record's outcome comes from in the memoized fold: its own
-/// fresh simulation this chunk, or the memo table.
-#[derive(Debug, Clone, Copy)]
-enum OutcomeSlot {
-    Fresh(u32),
-    Cached(u32),
-}
-
 /// Per-worker flyweight table: one simulated [`HandshakeOutcome`] per
 /// distinct [`ProbeClass`], plus effectiveness counters.
 #[derive(Debug, Default)]
@@ -555,38 +542,32 @@ struct ProbeMemo {
     // FastHashBuilder: one lookup per probed record makes SipHash the
     // single largest non-simulation cost at a million records.
     classes: HashMap<ProbeClass, u32, quicert_netsim::FastHashBuilder>,
+    // Outcomes live in a dense side vector, not in the hash table: a
+    // table of full outcomes would carry their size into every empty
+    // slot and every resize.
     outcomes: Vec<HandshakeOutcome>,
     hits: u64,
     misses: u64,
 }
 
-/// Reusable per-worker buffers for the streaming quicreach fold.
+/// Per-worker state for the streaming quicreach fold.
 ///
-/// A pump worker folds thousands of chunks; rebuilding the probe, outcome
-/// and rank vectors for every chunk dominated the allocator profile at a
-/// million records. One scratch per worker keeps the capacities across
-/// chunks — the buffers are cleared (never read) before each fold, so a
-/// reused scratch can never leak one chunk's state into the next (pinned
-/// by the fresh-vs-reused property test).
-///
-/// The scratch also hosts the worker's scenario-class memo (see
-/// [`fold_records_scratch`]); unlike the buffers it deliberately persists
-/// across chunks — outcomes are pure per class, so carrying them over is
-/// what makes the flyweight pay.
+/// The scratch hosts the worker's scenario-class memo (see
+/// [`fold_records_scratch`]), which deliberately persists across chunks —
+/// outcomes are pure per class, so carrying them over is what makes the
+/// flyweight pay — and a reusable buffer of the chunk's first-of-class
+/// outcomes. The buffer is drained by every fold, so a reused scratch can
+/// never leak one chunk's state into the next (pinned by the
+/// fresh-vs-reused property test).
 #[derive(Debug)]
 pub struct ProbeScratch {
-    probes: Vec<HandshakeProbe>,
-    outcomes: Vec<HandshakeOutcome>,
-    ranks: Vec<usize>,
-    slots: Vec<OutcomeSlot>,
-    pending: Vec<ProbeClass>,
+    pending: Vec<(ProbeClass, HandshakeOutcome)>,
     memo: Option<ProbeMemo>,
     metrics: Option<ProbeMetrics>,
 }
 
 impl ProbeScratch {
-    /// An empty scratch with scenario-class memoization enabled;
-    /// capacities grow to the largest chunk folded.
+    /// An empty scratch with scenario-class memoization enabled.
     pub fn new() -> ProbeScratch {
         ProbeScratch::with_memo(true)
     }
@@ -596,10 +577,6 @@ impl ProbeScratch {
     /// holds the memoized path to.
     pub fn with_memo(enabled: bool) -> ProbeScratch {
         ProbeScratch {
-            probes: Vec::new(),
-            outcomes: Vec::new(),
-            ranks: Vec::new(),
-            slots: Vec::new(),
             pending: Vec::new(),
             memo: enabled.then(ProbeMemo::default),
             metrics: None,
@@ -630,7 +607,7 @@ impl Default for ProbeScratch {
     }
 }
 
-/// [`fold_records`] in allocation-reuse form: the streaming pump's hot
+/// [`fold_records`] in per-worker-scratch form: the streaming pump's hot
 /// path. Takes the chunk as a plain record slice (the pump hands workers
 /// owned chunks — no per-chunk `Vec<&DomainRecord>` is ever built) and
 /// routes every probe through the same `probe_for` builder and
@@ -685,79 +662,64 @@ pub fn fold_records_scratch_chaos(
     plan: FaultPlan,
     scratch: &mut ProbeScratch,
 ) -> QuicReachShard {
-    scratch.probes.clear();
-    scratch.outcomes.clear();
-    scratch.ranks.clear();
-    scratch.slots.clear();
     scratch.pending.clear();
     let memo_active =
         scratch.memo.is_some() && profile.is_deterministic() && plan.is_deterministic();
-    let hits_before = scratch.memo.as_ref().map_or(0, |memo| memo.hits);
+    let mut shard = QuicReachShard::identity();
+    shard.classes.initial_size = initial_size;
+    let (mut issued, mut replayed) = (0u64, 0u64);
     for record in records.iter().filter(|record| record.has_quic()) {
-        scratch.ranks.push(record.rank);
-        if memo_active {
-            let class = ProbeClass::of(record, initial_size, profile, era);
-            let memo = scratch.memo.as_mut().expect("memo_active implies memo");
-            if let Some(&idx) = memo.classes.get(&class) {
+        let class = memo_active.then(|| ProbeClass::of(record, initial_size, profile, era));
+        if let (Some(class), Some(memo)) = (&class, scratch.memo.as_mut()) {
+            if let Some(&idx) = memo.classes.get(class) {
                 memo.hits += 1;
-                scratch.slots.push(OutcomeSlot::Cached(idx));
+                replayed += 1;
+                let out = &memo.outcomes[idx as usize];
+                shard.push(&QuicReachResult::from_outcome(record.rank, out));
                 continue;
             }
             memo.misses += 1;
-            scratch.pending.push(class);
         }
-        scratch
-            .slots
-            .push(OutcomeSlot::Fresh(scratch.probes.len() as u32));
-        scratch
-            .probes
-            .push(probe_for(world, record, initial_size, profile, era, plan));
-    }
-    run_handshake_batch_into(&mut scratch.probes, &mut scratch.outcomes);
-    if memo_active {
-        // Every fresh probe this chunk was first-of-class *within the
-        // memo*; remember its outcome for later chunks. Two records of the
-        // same new class in one chunk both simulate (outcomes identical by
-        // construction) — only the first is stored.
-        let memo = scratch.memo.as_mut().expect("memo_active implies memo");
-        for (class, out) in scratch.pending.drain(..).zip(&scratch.outcomes) {
-            if let Entry::Vacant(slot) = memo.classes.entry(class) {
-                slot.insert(memo.outcomes.len() as u32);
-                memo.outcomes.push(out.clone());
-            }
-        }
-    }
-    if let Some(metrics) = &scratch.metrics {
-        // Batch flush: two counter adds per chunk, and phase observations
-        // only for this chunk's *fresh* outcomes (replays would double-count
-        // the class's phases). Everything read is simulated time.
-        metrics.issued.add(scratch.outcomes.len() as u64);
-        let hits_now = scratch.memo.as_ref().map_or(0, |memo| memo.hits);
-        metrics.replayed.add(hits_now - hits_before);
-        for out in &scratch.outcomes {
+        let out = probe_for(world, record, initial_size, profile, era, plan).run();
+        issued += 1;
+        shard.push(&QuicReachResult::from_outcome(record.rank, &out));
+        if let Some(metrics) = &scratch.metrics {
+            // Phases are observed for fresh outcomes only (replays would
+            // double-count the class's phases); everything read is
+            // simulated time.
             if let Some(phases) = out.timeline.phases() {
                 for (phase, ns) in phases {
                     metrics.phases[phase.index()].observe(ns as f64 / 1e9);
                 }
             }
         }
+        if let Some(class) = class {
+            scratch.pending.push((class, out));
+        }
     }
-    let mut shard = QuicReachShard::identity();
-    shard.classes.initial_size = initial_size;
-    let cached = scratch.memo.as_ref().map(|memo| &memo.outcomes);
-    for (&rank, slot) in scratch.ranks.iter().zip(&scratch.slots) {
-        let out = match *slot {
-            OutcomeSlot::Fresh(idx) => &scratch.outcomes[idx as usize],
-            OutcomeSlot::Cached(idx) => &cached.expect("cached slots require a memo")[idx as usize],
-        };
-        shard.push(&QuicReachResult::from_outcome(rank, out));
+    if let Some(memo) = scratch.memo.as_mut() {
+        // Every fresh probe this chunk was first-of-class *within the
+        // memo*; remember its outcome for later chunks. Classes join the
+        // memo only at the chunk's end, so two records of one new class in
+        // a chunk both simulate (outcomes identical by construction) and
+        // only the first is stored.
+        for (class, out) in scratch.pending.drain(..) {
+            if let Entry::Vacant(slot) = memo.classes.entry(class) {
+                slot.insert(memo.outcomes.len() as u32);
+                memo.outcomes.push(out);
+            }
+        }
+    }
+    if let Some(metrics) = &scratch.metrics {
+        metrics.issued.add(issued);
+        metrics.replayed.add(replayed);
     }
     shard
 }
 
 /// Build the [`HandshakeProbe`] for one service at one Initial size under a
-/// network profile and [`CertificateEra`]; shared by the batched and
-/// per-probe scan paths. The era swaps the served chain and the leaf key —
+/// network profile and [`CertificateEra`]; shared by every scan family.
+/// The era swaps the served chain and the leaf key —
 /// the scanner client is untouched, so the probe parameters only differ on
 /// the server side, exactly as a re-scan of a migrated PKI would.
 fn probe_for(
@@ -797,29 +759,22 @@ fn probe_for(
     }
 }
 
-/// Build the probes for a whole shard — the single probe-construction path
-/// every scan family (batched, per-probe, warm, chaos) goes through.
-fn probes_for(
+/// Probe every record (each must serve QUIC) in order — the loop behind
+/// every materialized cold scan.
+fn probe_records(
     world: &World,
     records: &[&DomainRecord],
     initial_size: usize,
     profile: NetworkProfile,
     era: CertificateEra,
     plan: FaultPlan,
-) -> Vec<HandshakeProbe> {
+) -> Vec<QuicReachResult> {
     records
         .iter()
-        .map(|record| probe_for(world, record, initial_size, profile, era, plan))
-        .collect()
-}
-
-/// Pair a shard's outcomes back with its records — the single
-/// outcome→result mapping every scan family goes through.
-fn collate(records: &[&DomainRecord], outcomes: &[HandshakeOutcome]) -> Vec<QuicReachResult> {
-    records
-        .iter()
-        .zip(outcomes)
-        .map(|(record, out)| QuicReachResult::from_outcome(record.rank, out))
+        .map(|record| {
+            let out = probe_for(world, record, initial_size, profile, era, plan).run();
+            QuicReachResult::from_outcome(record.rank, &out)
+        })
         .collect()
 }
 
@@ -835,16 +790,15 @@ pub fn scan_service_profiled(
     initial_size: usize,
     profile: NetworkProfile,
 ) -> QuicReachResult {
-    let probe = probe_for(
+    let out = probe_for(
         world,
         record,
         initial_size,
         profile,
         CertificateEra::Classical,
         FaultPlan::NONE,
-    );
-    let mut wire = probe.wire;
-    let out = run_handshake(probe.client, probe.server, &mut wire, probe.seed);
+    )
+    .run();
     QuicReachResult::from_outcome(record.rank, &out)
 }
 
@@ -856,13 +810,11 @@ pub fn scan(world: &World, initial_size: usize) -> Vec<QuicReachResult> {
 
 /// Probe an explicit shard of services at one Initial size.
 ///
-/// This is the shard-aware entry point: the whole shard is batched as
-/// sessions of one `SimNet`. Every probe derives its randomness from the
-/// record's own forked seed and owns its session state, so splitting the
-/// service list into shards, probing them on separate workers and
-/// concatenating the shard outputs in order is bit-for-bit identical to a
-/// serial [`scan`] — and to the per-probe loop in
-/// [`scan_records_per_probe`] — at any shard size.
+/// This is the shard-aware entry point. Every probe derives its
+/// randomness from the record's own forked seed and owns its wire, so
+/// splitting the service list into shards, probing them on separate
+/// workers and concatenating the shard outputs in order is bit-for-bit
+/// identical to a serial [`scan`] at any shard size.
 pub fn scan_records(
     world: &World,
     records: &[&DomainRecord],
@@ -900,15 +852,7 @@ pub fn scan_records_era(
     era: CertificateEra,
 ) -> Vec<QuicReachResult> {
     count_family_probes("quicreach", records.len());
-    let outcomes = run_handshake_batch(probes_for(
-        world,
-        records,
-        initial_size,
-        profile,
-        era,
-        FaultPlan::NONE,
-    ));
-    collate(records, &outcomes)
+    probe_records(world, records, initial_size, profile, era, FaultPlan::NONE)
 }
 
 /// [`scan_records_era`] under a chaos [`FaultPlan`]: the same population,
@@ -926,39 +870,7 @@ pub fn scan_records_chaos(
     plan: FaultPlan,
 ) -> Vec<QuicReachResult> {
     count_family_probes("chaos", records.len());
-    let outcomes =
-        run_handshake_batch(probes_for(world, records, initial_size, profile, era, plan));
-    collate(records, &outcomes)
-}
-
-/// The pre-batching reference path: one isolated exchange per probe.
-///
-/// Kept for the batched-vs-per-probe equivalence tests and the scan
-/// throughput benchmark; scanners should prefer [`scan_records`]. Probe
-/// construction and collation are the same helpers the batched path uses —
-/// only the exchange scheduling differs.
-pub fn scan_records_per_probe(
-    world: &World,
-    records: &[&DomainRecord],
-    initial_size: usize,
-    profile: NetworkProfile,
-) -> Vec<QuicReachResult> {
-    count_family_probes("per-probe", records.len());
-    let outcomes: Vec<HandshakeOutcome> = probes_for(
-        world,
-        records,
-        initial_size,
-        profile,
-        CertificateEra::Classical,
-        FaultPlan::NONE,
-    )
-    .into_iter()
-    .map(|probe| {
-        let mut wire = probe.wire;
-        run_handshake(probe.client, probe.server, &mut wire, probe.seed)
-    })
-    .collect();
-    collate(records, &outcomes)
+    probe_records(world, records, initial_size, profile, era, plan)
 }
 
 // ------------------------------------------------------------ warm path --
@@ -1038,8 +950,8 @@ impl WarmScanResult {
 ///
 /// Each record's first visit runs the usual certificate-laden handshake
 /// against its server *with ticket issuance enabled*; the obtained ticket
-/// lands in an SNI-keyed LRU session cache, and the second visit re-probes
-/// with the cached ticket per the policy. The cold (ticket-free) scan
+/// lands in the probe's own client session cache, and the second visit
+/// re-probes with the cached ticket per the policy ([`run_resumption`]). The cold (ticket-free) scan
 /// entry points are untouched by any of this — their servers never issue
 /// tickets, so their artifacts stay byte-for-byte identical.
 ///
@@ -1103,33 +1015,32 @@ pub fn warm_scan_records_chaos(
 ) -> Vec<WarmScanResult> {
     count_family_probes("warm", records.len());
     let warm_now_secs = warm_visit_secs(policy);
-    let probes: Vec<ResumptionProbe> = probes_for(world, records, initial_size, profile, era, plan)
-        .into_iter()
-        .zip(records)
-        .map(|(mut probe, record)| {
-            probe.client.server_name = record.name.clone();
-            probe.server.resumption = Some(ResumptionHost {
+    records
+        .iter()
+        .map(|record| {
+            let HandshakeProbe {
+                mut client,
+                mut server,
+                wire,
+                seed,
+            } = probe_for(world, record, initial_size, profile, era, plan);
+            client.server_name = record.name.clone();
+            server.resumption = Some(ResumptionHost {
                 issuer: TicketIssuer::new(record.seed ^ STEK_SEED_LABEL, TicketConfig::default()),
                 now_secs: WARM_SCAN_EPOCH_SECS,
                 issue_tickets: true,
             });
-            let warm_wire = probe.wire.clone();
-            ResumptionProbe {
-                client: probe.client,
-                server: probe.server,
-                wire: probe.wire,
-                warm_wire,
-                seed: probe.seed,
+            let out = run_resumption(ResumptionProbe {
+                client,
+                server,
+                warm_wire: wire.clone(),
+                wire,
+                seed,
                 warm_now_secs,
                 offer_ticket: policy.offers_ticket(),
-            }
+            });
+            WarmScanResult::from_outcome(record.rank, &out)
         })
-        .collect();
-    let outcomes = run_resumption_batch(probes);
-    records
-        .iter()
-        .zip(&outcomes)
-        .map(|(record, out)| WarmScanResult::from_outcome(record.rank, out))
         .collect()
 }
 
@@ -1217,17 +1128,6 @@ mod tests {
                 assert!(r.amplification > 3.0);
                 assert!(r.amplification < 6.5, "factor {}", r.amplification);
             }
-        }
-    }
-
-    #[test]
-    fn batched_scan_matches_per_probe_loop_bit_for_bit() {
-        let world = world();
-        let records: Vec<&DomainRecord> = world.quic_services().take(120).collect();
-        for profile in [NetworkProfile::Ideal, NetworkProfile::Lossy] {
-            let batched = scan_records_profiled(&world, &records, 1362, profile);
-            let per_probe = scan_records_per_probe(&world, &records, 1362, profile);
-            assert_eq!(batched, per_probe, "profile {profile}");
         }
     }
 

@@ -185,10 +185,11 @@ mod streaming_world_properties {
     }
 }
 
+/// Properties of the network simulator's event loop, `run_exchange`.
 mod simnet_properties {
     use proptest::prelude::*;
     use quicert::netsim::{
-        Datagram, Endpoint, ExchangeLimits, LinkModel, SimDuration, SimNet, SimRng, SimTime, Wire,
+        run_exchange, Datagram, Endpoint, ExchangeLimits, SimDuration, SimRng, SimTime, Wire,
     };
     use std::net::Ipv4Addr;
 
@@ -235,116 +236,26 @@ mod simnet_properties {
         }
     }
 
-    /// Ping-pong initiator used by the batch-invariance property.
-    struct Pinger {
-        remaining: u32,
-        payload: usize,
-    }
-
-    struct Echoer;
-
-    impl Endpoint for Pinger {
-        fn start(&mut self, _now: SimTime, out: &mut Vec<Datagram>) {
-            if self.remaining > 0 {
-                out.push(Datagram::new(A, B, 1000, 443, vec![1; self.payload]));
-            }
-        }
-        fn on_datagram(&mut self, _d: &Datagram, _now: SimTime, out: &mut Vec<Datagram>) {
-            self.remaining -= 1;
-            if self.remaining > 0 {
-                out.push(Datagram::new(A, B, 1000, 443, vec![1; self.payload]));
-            }
-        }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
-        fn next_timer(&self) -> Option<SimTime> {
-            None
-        }
-        fn is_done(&self) -> bool {
-            self.remaining == 0
-        }
-    }
-
-    impl Endpoint for Echoer {
-        fn on_datagram(&mut self, d: &Datagram, _now: SimTime, out: &mut Vec<Datagram>) {
-            out.push(d.reply_with(d.payload.clone()));
-        }
-        fn on_timer(&mut self, _now: SimTime, _out: &mut Vec<Datagram>) {}
-        fn next_timer(&self) -> Option<SimTime> {
-            None
-        }
-        fn is_done(&self) -> bool {
-            true
-        }
-    }
-
-    fn session_wire(seed: u64) -> Wire {
-        Wire::symmetric(LinkModel {
-            latency: SimDuration::from_millis(1 + seed % 19),
-            jitter: SimDuration::from_millis(seed % 5),
-            loss: (seed % 4) as f64 * 0.07,
-            ..LinkModel::default()
-        })
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         // Datagrams sharing one arrival timestamp are delivered in send
-        // (sequence) order: the heap tie-break is (time, session, seq).
+        // (sequence) order: the heap tie-break is (time, seq).
         #[test]
         fn equal_timestamp_deliveries_preserve_send_order(
             sizes in proptest::collection::vec(1usize..1400, 1..40),
             latency_us in 1u64..50_000,
         ) {
             let mut recorder = Recorder::default();
-            let mut net = SimNet::new();
-            let id = net.add_session(
-                Box::new(Burst { sizes: sizes.clone() }),
-                Box::new(&mut recorder),
-                Wire::ideal(SimDuration::from_micros(latency_us)),
+            let outcome = run_exchange(
+                &mut Burst { sizes: sizes.clone() },
+                &mut recorder,
+                &mut Wire::ideal(SimDuration::from_micros(latency_us)),
                 ExchangeLimits::default(),
-                SimRng::new(9),
+                &mut SimRng::new(9),
             );
-            net.run();
-            prop_assert!(net.take_outcome(id).quiesced);
-            drop(net);
+            prop_assert!(outcome.quiesced);
             prop_assert_eq!(recorder.seen, sizes);
-        }
-
-        // A session's outcome never depends on how many other sessions
-        // share the batch or where the batch is split.
-        #[test]
-        fn batch_size_never_changes_per_session_outcomes(
-            session_seeds in proptest::collection::vec(any::<u64>(), 1..24),
-            split in 0usize..24,
-        ) {
-            let run_batch = |seeds: &[u64]| -> Vec<_> {
-                let mut net = SimNet::with_capacity(seeds.len());
-                let ids: Vec<_> = seeds
-                    .iter()
-                    .map(|&seed| {
-                        net.add_session(
-                            Box::new(Pinger {
-                                remaining: 1 + (seed % 6) as u32,
-                                payload: 40 + (seed % 200) as usize,
-                            }),
-                            Box::new(Echoer),
-                            session_wire(seed),
-                            ExchangeLimits::default(),
-                            SimRng::new(seed ^ 0x5E55),
-                        )
-                    })
-                    .collect();
-                net.run();
-                ids.into_iter().map(|id| net.take_outcome(id)).collect()
-            };
-
-            let whole = run_batch(&session_seeds);
-            let split = split.min(session_seeds.len());
-            let (left, right) = session_seeds.split_at(split);
-            let mut pieces = run_batch(left);
-            pieces.extend(run_batch(right));
-            prop_assert_eq!(whole, pieces);
         }
     }
 }
