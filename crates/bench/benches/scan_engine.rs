@@ -1,7 +1,8 @@
 //! Scan-engine throughput: the end-to-end quicreach scan at 1 / 2 / 4 / 8
 //! workers, the serial cold scan with the warm (resumption) and
 //! post-quantum era paths as ratios against it, and the streaming pump at
-//! the paper's million (and a ten-million stress row).
+//! the paper's million (and a ten-million stress row) for quicreach, the
+//! §3.1 HTTPS funnel and the compression-support scan.
 //!
 //! Unlike the figure benches this harness also *persists* its measurements:
 //! it writes a `BENCH_scan.json` to the workspace root so future changes
@@ -23,6 +24,7 @@ use quicert_churn::ChurnConfig;
 use quicert_core::engine::host_parallelism;
 use quicert_core::{CampaignConfig, CampaignService, PumpStats, ScanEngine, ServiceConfig};
 use quicert_netsim::{FaultPlan, NetworkProfile};
+use quicert_obs::MetricsRegistry;
 use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
 use quicert_scanner::quicreach;
 use quicert_session::ResumptionPolicy;
@@ -187,6 +189,78 @@ fn bench_stream(label: &str, population: usize, workers: usize, memoized: bool) 
         reachable: shard.classes.reachable(),
         pump,
         metrics_json,
+    }
+}
+
+/// Which streamed certificate scan a [`FunnelRow`] timed.
+#[derive(Clone, Copy)]
+enum FunnelFamily {
+    Https,
+    Compression,
+}
+
+impl FunnelFamily {
+    fn name(self) -> &'static str {
+        match self {
+            FunnelFamily::Https => "stream_https_scan",
+            FunnelFamily::Compression => "stream_compression_support",
+        }
+    }
+}
+
+struct FunnelRow {
+    family: FunnelFamily,
+    seconds: f64,
+    /// TLS-reachable domains (HTTPS) or probed QUIC services
+    /// (compression).
+    folded: u64,
+    /// Process-wide chain-length cache lookups and hits during the scan.
+    chain_len_lookups: u64,
+    chain_len_hits: u64,
+    metrics_json: String,
+}
+
+/// One process-wide counter's current value.
+fn global_counter(name: &str) -> u64 {
+    MetricsRegistry::global().counter(name, "").get()
+}
+
+/// One streamed certificate scan (HTTPS funnel or compression support) of
+/// a never-materialized population on a fresh serial engine, so the
+/// world's chain-length class cache starts empty. The cache counters are
+/// process-wide; the bench runs its rows one after another, so their
+/// deltas across the scan belong to it alone.
+fn bench_funnel(family: FunnelFamily, population: usize) -> FunnelRow {
+    let config = WorldConfig {
+        domains: population,
+        seed: SEED,
+        ..WorldConfig::default()
+    };
+    let engine = ScanEngine::streaming(config, INITIAL, 1);
+    let lookups_before = global_counter("quicert_pki_chain_len_lookups_total");
+    let hits_before = global_counter("quicert_pki_chain_len_cache_hits_total");
+    let start = Instant::now();
+    let folded = match family {
+        FunnelFamily::Https => black_box(engine.stream_https_scan().tls_reachable),
+        FunnelFamily::Compression => {
+            black_box(engine.stream_compression_support().algorithms[0].total)
+        }
+    };
+    let seconds = start.elapsed().as_secs_f64();
+    let chain_len_lookups = global_counter("quicert_pki_chain_len_lookups_total") - lookups_before;
+    let chain_len_hits = global_counter("quicert_pki_chain_len_cache_hits_total") - hits_before;
+    eprintln!(
+        "funnel_1m  {:<27} {seconds:>10.4} s  ({population} domains, {folded} folded, \
+         chain-len cache {chain_len_hits} hits of {chain_len_lookups} lookups)",
+        family.name()
+    );
+    FunnelRow {
+        family,
+        seconds,
+        folded,
+        chain_len_lookups,
+        chain_len_hits,
+        metrics_json: engine.metrics_registry().render_json(),
     }
 }
 
@@ -435,6 +509,15 @@ fn main() {
     let scan_10m_rows: Vec<StreamRow> =
         vec![bench_stream("scan_10m", stream_population_10m(), 8, true)];
 
+    // The other two streamed families at the same population: the §3.1
+    // funnel (sizes from the chain-length class cache) and the Table 1
+    // compression-support scan (one chain and one encode per service).
+    // CI checks the cache counters account for every TLS-reachable domain.
+    let funnel_rows: Vec<FunnelRow> = [FunnelFamily::Https, FunnelFamily::Compression]
+        .into_iter()
+        .map(|family| bench_funnel(family, stream_domains))
+        .collect();
+
     // The chaos axis: the fault-free rung as baseline, one lossy rung and
     // the duplication-only rung. CI asserts the MODERATE row recovers
     // (nonzero retransmissions) and the NONE row never pays for recovery.
@@ -486,6 +569,25 @@ fn main() {
         json.push_str(&stream_row_json(row, scan_1m_w1 / row.seconds, "      "));
         json.push_str(comma);
         json.push('\n');
+    }
+    json.push_str("    ]\n");
+    json.push_str("  },\n");
+    json.push_str("  \"funnel_1m\": {\n");
+    json.push_str(&format!("    \"population\": {stream_domains},\n"));
+    json.push_str("    \"rows\": [\n");
+    for (i, row) in funnel_rows.iter().enumerate() {
+        let comma = if i + 1 < funnel_rows.len() { "," } else { "" };
+        json.push_str(&format!(
+            "      {{\"family\": \"{}\", \"workers\": 1, \"seconds\": {:.6}, \
+             \"folded\": {}, \"chain_len_lookups\": {}, \"chain_len_hits\": {}, \
+             \"metrics\": {}}}{comma}\n",
+            row.family.name(),
+            row.seconds,
+            row.folded,
+            row.chain_len_lookups,
+            row.chain_len_hits,
+            row.metrics_json,
+        ));
     }
     json.push_str("    ]\n");
     json.push_str("  },\n");

@@ -572,6 +572,66 @@ mod tests {
     }
 
     #[test]
+    fn cached_chain_lens_hold_on_churned_records() {
+        // The world's chain-length class key must stay exact on records
+        // the churn overlay rewrote: reissued leaves (generation-shifted
+        // serials), drifted QUIC chains and migrated eras, for HTTPS and
+        // QUIC chains alike, in every scan era.
+        let world = quicert_pki::World::generate(quicert_pki::WorldConfig {
+            domains: 600,
+            seed: 0x0C4A_2E55,
+            ..Default::default()
+        });
+        let timeline = Timeline::new(
+            ChurnConfig::new(0x5EED_C4A1, 600)
+                .with_rates(80, 40, 20)
+                .with_migration(2, Provider::Cloudflare, CertificateEra::Hybrid)
+                .with_migration(3, Provider::SelfHosted, CertificateEra::PostQuantum),
+        );
+        let mut tally = quicert_pki::ChainLenTally::default();
+        let (mut rotated, mut drifted_chains, mut migrated) = (0, 0, 0);
+        for tick in [1u64, 2, 3] {
+            let mut records = world.domains().to_vec();
+            ChurnState::at(&timeline, tick).apply_to_records(&mut records);
+            for (record, original) in records.iter().zip(world.domains()) {
+                if let (Some(q), Some(o)) = (&record.quic, &original.quic) {
+                    rotated += usize::from(q.cert_generation > 0);
+                    drifted_chains += usize::from(q.chain_id != o.chain_id);
+                    migrated += usize::from(q.era_override.is_some());
+                }
+            }
+            for era in CertificateEra::ALL {
+                for record in records.iter().filter(|r| r.has_https()) {
+                    let issued = world.https_chain_era(record, era).unwrap().total_der_len();
+                    assert_eq!(
+                        world.https_chain_der_len_era(record, era, &mut tally),
+                        Some(issued as u32),
+                        "https rank {} tick {tick} {era:?}",
+                        record.rank
+                    );
+                    if record.has_quic() {
+                        let issued = world.quic_chain_era(record, era).unwrap().total_der_len();
+                        assert_eq!(
+                            world.quic_chain_der_len_era(record, era, &mut tally),
+                            Some(issued as u32),
+                            "quic rank {} tick {tick} {era:?}",
+                            record.rank
+                        );
+                    }
+                }
+            }
+        }
+        assert!(rotated > 0 && drifted_chains > 0 && migrated > 0);
+        // Churn multiplies serial and era variants, not classes per record.
+        let classes = world.chain_len_classes() as u64;
+        assert!(
+            classes * 4 < tally.lookups,
+            "{classes} classes for {} lookups",
+            tally.lookups
+        );
+    }
+
+    #[test]
     fn overlay_sets_generation_drift_and_era() {
         let world = quicert_pki::World::generate(quicert_pki::WorldConfig {
             domains: 64,

@@ -10,7 +10,8 @@ use quicert_churn::{ChurnConfig, ChurnState, Timeline};
 use quicert_core::{CampaignConfig, CampaignService, ScanEngine, ServiceConfig};
 use quicert_netsim::{FaultPlan, NetworkProfile};
 use quicert_pki::world::Provider;
-use quicert_pki::{CertificateEra, World, WorldConfig};
+use quicert_pki::{CertificateEra, DomainRecord, World, WorldConfig};
+use quicert_scanner::compression::{self, CompressionShard};
 use quicert_scanner::https_scan::HttpsScanShard;
 use quicert_scanner::quicreach::{self, ProbeScratch, QuicReachShard};
 use quicert_session::ResumptionPolicy;
@@ -80,6 +81,9 @@ fn streaming_grid_is_worker_and_chunk_invariant() {
     let materialized = ScanEngine::new(World::generate(config.clone()), INITIAL, 2);
     let reach_ref = QuicReachShard::from_results(INITIAL, &materialized.quicreach(INITIAL));
     let https_ref = HttpsScanShard::from_report(&materialized.https_scan());
+    let services: Vec<&DomainRecord> = materialized.world().quic_services().collect();
+    let compression_ref =
+        CompressionShard::from_probes(&compression::probe_records(materialized.world(), &services));
     assert!(reach_ref.total() > 0, "world has QUIC services");
 
     for workers in [1usize, 2, 8, 16] {
@@ -97,6 +101,11 @@ fn streaming_grid_is_worker_and_chunk_invariant() {
                 *engine.stream_https_scan(),
                 https_ref,
                 "stream_https_scan diverged at workers={workers} chunk={chunk}"
+            );
+            assert_eq!(
+                *engine.stream_compression_support(),
+                compression_ref,
+                "stream_compression_support diverged at workers={workers} chunk={chunk}"
             );
         }
     }

@@ -28,6 +28,6 @@ pub use dns::DnsOutcome;
 pub use ecosystem::{ChainId, Ecosystem, LeafParams};
 pub use era::CertificateEra;
 pub use world::{
-    DomainChunks, DomainRecord, HttpsDeployment, PopulationModel, Provider, QuicDeployment, World,
-    WorldConfig,
+    ChainLenTally, DomainChunks, DomainRecord, HttpsDeployment, PopulationModel, Provider,
+    QuicDeployment, World, WorldConfig,
 };

@@ -256,19 +256,63 @@ impl Default for WorldConfig {
     }
 }
 
-/// Cache key for [`World::quic_chain_der_len_era`]: everything that can
-/// change a byte length anywhere in an issued chain. Parent certificates
+/// Cache key for [`World::quic_chain_der_len_era`] and
+/// [`World::https_chain_der_len_era`]: everything that can change a byte
+/// length anywhere in an issued chain. Parent certificates
 /// are fixed per `(chain_id, era)`; the leaf varies with the key
 /// algorithm, the CN byte length (SANs derive from it), the extra-SAN
 /// count, and the encoded serial length (the single seed-dependent DER
 /// length — see [`CertificateBuilder::serial_der_len`]).
 type ChainLenKey = (ChainId, CertificateEra, KeyAlgorithm, u16, u16, u8);
 
+/// The [`ChainLenKey`] of a chain issued under `chain_id` in `era` for
+/// `record`'s name, with `leaf_key`, `extra_sans` and the leaf serial
+/// seed `serial_seed` — the one key function QUIC and HTTPS chains share.
+fn chain_len_key(
+    record: &DomainRecord,
+    chain_id: ChainId,
+    era: CertificateEra,
+    leaf_key: KeyAlgorithm,
+    extra_sans: u16,
+    serial_seed: u64,
+) -> ChainLenKey {
+    (
+        chain_id,
+        era,
+        leaf_key,
+        record.name.len() as u16,
+        extra_sans,
+        CertificateBuilder::serial_der_len(serial_seed) as u8,
+    )
+}
+
+/// Chain-length cache lookups counted by the caller and published to the
+/// process-wide `quicert_pki_chain_len_*` counters in one add per batch,
+/// the same batching as record generation: a streaming fold keeps one
+/// tally per chunk, so its per-record path touches no shared atomic.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChainLenTally {
+    /// Lookups made.
+    pub lookups: u64,
+    /// Lookups answered from the cache (the rest issued a chain).
+    pub hits: u64,
+}
+
+impl ChainLenTally {
+    /// Add the tallied lookups and hits to the process-wide counters.
+    pub fn publish(self) {
+        let metrics = world_metrics();
+        metrics.chain_len_lookups.add(self.lookups);
+        metrics.chain_len_cache_hits.add(self.hits);
+    }
+}
+
 /// Process-wide world-generation counters on [`MetricsRegistry::global`].
 /// Record generation is batched (one `add` per chunk) so the streaming
 /// pump's per-record path never touches an atomic it doesn't already own.
 struct WorldMetrics {
     records_generated: Arc<Counter>,
+    chain_len_lookups: Arc<Counter>,
     chain_len_cache_hits: Arc<Counter>,
 }
 
@@ -280,6 +324,10 @@ fn world_metrics() -> &'static WorldMetrics {
             records_generated: reg.counter(
                 "quicert_pki_records_generated_total",
                 "Domain records derived from world configurations",
+            ),
+            chain_len_lookups: reg.counter(
+                "quicert_pki_chain_len_lookups_total",
+                "Chain-length lookups against the per-world class cache",
             ),
             chain_len_cache_hits: reg.counter(
                 "quicert_pki_chain_len_cache_hits_total",
@@ -458,13 +506,7 @@ impl World {
         era: CertificateEra,
     ) -> Option<CertificateChain> {
         let https = record.https.as_ref()?;
-        // A provider era migration moves the whole deployment, so the HTTPS
-        // chain follows the QUIC deployment's override when one exists.
-        let era = record
-            .quic
-            .as_ref()
-            .map(|q| q.effective_era(era))
-            .unwrap_or(era);
+        let era = Self::https_era(record, era);
         Some(self.ecosystem.issue_era(
             https.chain_id,
             era,
@@ -492,6 +534,17 @@ impl World {
         Some(self.ecosystem.issue_era(quic.chain_id, era, &params))
     }
 
+    /// The era `record`'s HTTPS chain is issued in under a campaign
+    /// scanning at `scan_era`: a provider era migration moves the whole
+    /// deployment, so the HTTPS chain follows the QUIC deployment's
+    /// override when one exists.
+    fn https_era(record: &DomainRecord, scan_era: CertificateEra) -> CertificateEra {
+        record
+            .quic
+            .as_ref()
+            .map_or(scan_era, |q| q.effective_era(scan_era))
+    }
+
     /// Total DER byte length of [`World::quic_chain_era`]'s chain without
     /// materialising it on the hot path.
     ///
@@ -509,30 +562,85 @@ impl World {
         &self,
         record: &DomainRecord,
         era: CertificateEra,
+        tally: &mut ChainLenTally,
     ) -> Option<u32> {
         let quic = record.quic.as_ref()?;
         let https = record.https.as_ref()?;
         let era = quic.effective_era(era);
-        let serial_len =
-            CertificateBuilder::serial_der_len(record.seed ^ quic.cert_seed_shift()) as u8;
-        let key: ChainLenKey = (
+        let key = chain_len_key(
+            record,
             quic.chain_id,
             era,
             quic.leaf_key,
-            record.name.len() as u16,
             https.extra_sans,
-            serial_len,
+            record.seed ^ quic.cert_seed_shift(),
         );
+        self.cached_chain_len(key, tally, || self.quic_chain_era(record, era))
+    }
+
+    /// Total DER byte length of [`World::https_chain_era`]'s chain, from
+    /// the same class cache and key function as
+    /// [`World::quic_chain_der_len_era`]: the HTTPS deployment's chain,
+    /// leaf key and SANs, the effective era, and the unshifted record
+    /// seed's serial length. This is what the streamed §3.1 funnel folds —
+    /// it needs only sizes, so a class costs one issued chain.
+    pub fn https_chain_der_len_era(
+        &self,
+        record: &DomainRecord,
+        era: CertificateEra,
+        tally: &mut ChainLenTally,
+    ) -> Option<u32> {
+        let https = record.https.as_ref()?;
+        let era = Self::https_era(record, era);
+        let key = chain_len_key(
+            record,
+            https.chain_id,
+            era,
+            https.leaf_key,
+            https.extra_sans,
+            record.seed,
+        );
+        self.cached_chain_len(key, tally, || self.https_chain_era(record, era))
+    }
+
+    /// Certificates in [`World::https_chain_era`]'s chain — the leaf plus
+    /// the era catalog's parent chain — without issuing it.
+    pub fn https_chain_depth_era(
+        &self,
+        record: &DomainRecord,
+        era: CertificateEra,
+    ) -> Option<usize> {
+        let https = record.https.as_ref()?;
+        let parent = self
+            .ecosystem
+            .chain_era(https.chain_id, Self::https_era(record, era));
+        Some(1 + parent.intermediates.len())
+    }
+
+    /// Distinct chain-length classes cached so far.
+    pub fn chain_len_classes(&self) -> usize {
+        self.chain_len_cache.read().expect("cache poisoned").len()
+    }
+
+    /// Serve `key` from the class cache, or issue the chain once and
+    /// cache its length.
+    fn cached_chain_len(
+        &self,
+        key: ChainLenKey,
+        tally: &mut ChainLenTally,
+        issue: impl FnOnce() -> Option<CertificateChain>,
+    ) -> Option<u32> {
+        tally.lookups += 1;
         if let Some(&len) = self
             .chain_len_cache
             .read()
             .expect("cache poisoned")
             .get(&key)
         {
-            world_metrics().chain_len_cache_hits.inc();
+            tally.hits += 1;
             return Some(len);
         }
-        let len = self.quic_chain_era(record, era)?.total_der_len() as u32;
+        let len = issue()?.total_der_len() as u32;
         self.chain_len_cache
             .write()
             .expect("cache poisoned")
@@ -967,38 +1075,85 @@ mod tests {
 
     #[test]
     fn cached_chain_len_equals_materialised_chain_len() {
-        // The O(1) length accessor must agree with actually issuing the
-        // chain for every record and era — including rotated certs and the
-        // rare trimmed-serial leaves the cache key exists to separate.
+        // The O(1) length accessors must agree with actually issuing the
+        // chain for every record and era — QUIC and HTTPS chains through
+        // the one shared cache, including rotated certs and the rare
+        // trimmed-serial leaves the cache key exists to separate.
         let world = small_world();
+        let mut tally = ChainLenTally::default();
+        let mut lookups = 0u64;
         for era in CertificateEra::ALL {
-            for record in world.domains().iter().filter(|r| r.has_quic()) {
-                let cached = world.quic_chain_der_len_era(record, era).unwrap();
-                let issued = world.quic_chain_era(record, era).unwrap().total_der_len();
-                assert_eq!(cached as usize, issued, "rank {} era {era:?}", record.rank);
+            for record in world.domains() {
+                if record.has_quic() {
+                    let cached = world.quic_chain_der_len_era(record, era, &mut tally);
+                    let issued = world.quic_chain_era(record, era).unwrap().total_der_len();
+                    assert_eq!(
+                        cached,
+                        Some(issued as u32),
+                        "quic rank {} {era:?}",
+                        record.rank
+                    );
+                    lookups += 1;
+                }
+                if record.has_https() {
+                    let cached = world.https_chain_der_len_era(record, era, &mut tally);
+                    let issued = world.https_chain_era(record, era).unwrap();
+                    assert_eq!(
+                        cached,
+                        Some(issued.total_der_len() as u32),
+                        "https rank {} {era:?}",
+                        record.rank
+                    );
+                    assert_eq!(
+                        world.https_chain_depth_era(record, era),
+                        Some(issued.depth()),
+                        "https rank {} {era:?}",
+                        record.rank
+                    );
+                    lookups += 1;
+                }
             }
         }
-        // Far fewer classes than records, or the cache buys nothing.
-        let quic_records = world.domains().iter().filter(|r| r.has_quic()).count();
-        let classes = world.chain_len_cache.read().unwrap().len();
+        // Every lookup is tallied; all but one per class are hits.
+        let classes = world.chain_len_classes();
+        assert_eq!(tally.lookups, lookups);
+        assert_eq!(tally.lookups - tally.hits, classes as u64);
+        // Far fewer classes than lookups, or the cache buys nothing.
         assert!(
-            classes * 4 < quic_records * CertificateEra::ALL.len(),
-            "{classes} classes for {quic_records} records"
+            classes * 4 < lookups as usize,
+            "{classes} classes for {lookups} lookups"
         );
     }
 
     #[test]
     fn chain_len_accessor_is_none_without_quic() {
         let world = small_world();
-        let record = world
+        let mut tally = ChainLenTally::default();
+        let no_quic = world
             .domains()
             .iter()
             .find(|r| !r.has_quic())
             .expect("some record without quic");
+        let no_https = world
+            .domains()
+            .iter()
+            .find(|r| r.https.is_none())
+            .expect("some record without https");
+        for record in [no_quic, no_https] {
+            assert_eq!(
+                world.quic_chain_der_len_era(record, CertificateEra::Classical, &mut tally),
+                None
+            );
+        }
         assert_eq!(
-            world.quic_chain_der_len_era(record, CertificateEra::Classical),
+            world.https_chain_der_len_era(no_https, CertificateEra::Classical, &mut tally),
             None
         );
+        assert_eq!(
+            world.https_chain_depth_era(no_https, CertificateEra::Classical),
+            None
+        );
+        assert_eq!(tally, ChainLenTally::default());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use quicert_analysis::Merge;
 use quicert_compress::{compress_with, Algorithm};
 use quicert_pki::{CertificateEra, DomainRecord, World};
-use quicert_tls::{ServerFlight, ServerFlightParams};
+use quicert_tls::messages;
 
 /// Per-service compression probe result for one algorithm.
 #[derive(Debug, Clone)]
@@ -45,28 +45,38 @@ impl AlgorithmSupport {
     }
 }
 
-/// Probe one service with one algorithm offer.
-pub fn probe(world: &World, record: &DomainRecord, algorithm: Algorithm) -> CompressionProbe {
+/// Probe one QUIC service with each RFC 8879 algorithm offer, in
+/// [`Algorithm::ALL`] order.
+///
+/// A probe reads only the server's certificate message lengths, so this
+/// builds none of the rest of the flight: the QUIC chain is issued at most
+/// once (and only when the server supports some algorithm), its plain
+/// Certificate message is encoded once, and each supported algorithm
+/// compresses that one encoding under the same RFC 8879 fallback rule
+/// `ServerFlight::build` applies
+/// ([`messages::compressed_certificate_message`]), so every length equals
+/// the flight's.
+pub fn probe_service(world: &World, record: &DomainRecord) -> [CompressionProbe; 3] {
     let quic = record.quic.as_ref().expect("QUIC service");
-    let supported = quic.compression_support.contains(&algorithm);
-    let flight = supported.then(|| {
+    let plain = (!quic.compression_support.is_empty()).then(|| {
         let chain = world.quic_chain(record).expect("chain");
-        ServerFlight::build(&ServerFlightParams {
-            chain: &chain,
-            leaf_key: quic.leaf_key,
-            compression: Some(algorithm),
-            seed: record.seed,
-        })
+        messages::certificate_message(&chain)
     });
-    CompressionProbe {
-        rank: record.rank,
-        algorithm,
-        supported,
-        ratio: flight.as_ref().map(|f| f.compression_ratio()),
-        message_bytes: flight
-            .as_ref()
-            .map(|f| (f.certificate_message_len, f.uncompressed_certificate_len)),
-    }
+    Algorithm::ALL.map(|algorithm| {
+        let supported = quic.compression_support.contains(&algorithm);
+        let message_bytes = plain.as_deref().filter(|_| supported).map(|plain| {
+            let on_wire = messages::compressed_certificate_message(plain, algorithm)
+                .map_or(plain.len(), |compressed| compressed.len());
+            (on_wire, plain.len())
+        });
+        CompressionProbe {
+            rank: record.rank,
+            algorithm,
+            supported,
+            ratio: message_bytes.map(|(on_wire, plain)| on_wire as f64 / plain as f64),
+            message_bytes,
+        }
+    })
 }
 
 /// Probe every QUIC service with all three algorithms and aggregate.
@@ -83,7 +93,7 @@ pub fn scan(world: &World) -> Vec<AlgorithmSupport> {
 pub fn probe_records(world: &World, records: &[&DomainRecord]) -> Vec<[CompressionProbe; 3]> {
     records
         .iter()
-        .map(|record| Algorithm::ALL.map(|algorithm| probe(world, record, algorithm)))
+        .map(|record| probe_service(world, record))
         .collect()
 }
 
@@ -232,17 +242,16 @@ pub fn fold_records(world: &World, records: &[&DomainRecord]) -> CompressionShar
 /// [`fold_records`] over any record iterator: each QUIC service's probe
 /// row is folded straight into the shard, so the streaming pump never
 /// materializes the per-chunk service list or probe-row `Vec` that
-/// [`probe_records`] builds. Row construction is the same
-/// `Algorithm::ALL`-ordered [`probe`] loop, so the shard is bit-for-bit
-/// [`CompressionShard::from_probes`] over the materialized rows.
+/// [`probe_records`] builds. Rows come from the same [`probe_service`],
+/// so the shard is bit-for-bit [`CompressionShard::from_probes`] over the
+/// materialized rows.
 pub fn fold_iter<'a>(
     world: &World,
     records: impl IntoIterator<Item = &'a DomainRecord>,
 ) -> CompressionShard {
     let mut shard = CompressionShard::identity();
     for record in records.into_iter().filter(|record| record.has_quic()) {
-        let row = Algorithm::ALL.map(|algorithm| probe(world, record, algorithm));
-        shard.push(&row);
+        shard.push(&probe_service(world, record));
     }
     shard
 }
@@ -349,6 +358,44 @@ mod tests {
             seed: 77,
             ..WorldConfig::default()
         })
+    }
+
+    #[test]
+    fn probe_rows_match_the_full_server_flight() {
+        // The probe encodes and compresses only the certificate message;
+        // its lengths must equal those of the complete flight a server
+        // builds for the same offer.
+        let world = world();
+        for record in world.quic_services().take(150) {
+            let row = probe_service(&world, record);
+            let quic = record.quic.as_ref().unwrap();
+            for probe in &row {
+                assert_eq!(probe.rank, record.rank);
+                assert_eq!(
+                    probe.supported,
+                    quic.compression_support.contains(&probe.algorithm)
+                );
+                let flight = probe.supported.then(|| {
+                    let chain = world.quic_chain(record).unwrap();
+                    quicert_tls::ServerFlight::build(&quicert_tls::ServerFlightParams {
+                        chain: &chain,
+                        leaf_key: quic.leaf_key,
+                        compression: Some(probe.algorithm),
+                        seed: record.seed,
+                    })
+                });
+                assert_eq!(
+                    probe.message_bytes,
+                    flight
+                        .as_ref()
+                        .map(|f| (f.certificate_message_len, f.uncompressed_certificate_len)),
+                    "rank {} {}",
+                    record.rank,
+                    probe.algorithm
+                );
+                assert_eq!(probe.ratio, flight.map(|f| f.compression_ratio()));
+            }
+        }
     }
 
     #[test]

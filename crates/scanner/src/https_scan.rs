@@ -2,7 +2,7 @@
 //! redirects, collect and summarise TLS chains.
 
 use quicert_analysis::{HistogramSketch, Merge, StreamSummary};
-use quicert_pki::{ChainId, DnsOutcome, DomainRecord, World};
+use quicert_pki::{CertificateEra, ChainId, ChainLenTally, DnsOutcome, DomainRecord, World};
 use quicert_x509::{CertificateChain, FieldSizes, KeyAlgorithm};
 
 /// Size/shape summary of one served certificate chain. Keeping summaries
@@ -200,6 +200,19 @@ impl HttpsScanShard {
     /// Fold one domain's funnel contribution and (when TLS-reachable) its
     /// chain summary in.
     pub fn push(&mut self, record: &DomainRecord, observation: Option<&HttpsObservation>) {
+        self.push_funnel(record);
+        if let Some(obs) = observation {
+            self.fold_observation(
+                obs.is_quic,
+                obs.redirect_hops,
+                obs.summary.total_der,
+                obs.summary.depth,
+            );
+        }
+    }
+
+    /// Fold one domain's DNS funnel counters in.
+    fn push_funnel(&mut self, record: &DomainRecord) {
         self.total += 1;
         match record.dns {
             DnsOutcome::ServFail => self.servfail += 1,
@@ -210,25 +223,29 @@ impl HttpsScanShard {
         if record.dns.address().is_some() {
             self.a_records += 1;
         }
-        if let Some(obs) = observation {
-            self.names_seen += 1 + obs.redirect_hops as u64;
-            self.fold_observation(obs);
-        }
     }
 
-    /// Fold one TLS-reachable observation's chain statistics in — the
-    /// single accumulation path shared by [`HttpsScanShard::push`] and
-    /// [`HttpsScanShard::from_report`], so the streamed summary and the
+    /// Fold one TLS-reachable domain's redirect path and chain statistics
+    /// in — the single accumulation path shared by
+    /// [`HttpsScanShard::push`], [`HttpsScanShard::from_report`] and the
+    /// size-only [`fold_iter`], so the streamed summary and the
     /// materialized reference can never learn different metrics.
-    fn fold_observation(&mut self, obs: &HttpsObservation) {
+    fn fold_observation(
+        &mut self,
+        is_quic: bool,
+        redirect_hops: u8,
+        total_der: usize,
+        depth: usize,
+    ) {
+        self.names_seen += 1 + redirect_hops as u64;
         self.tls_reachable += 1;
-        let der = obs.summary.total_der as f64;
+        let der = total_der as f64;
         self.chain_der.push(der);
-        if obs.is_quic {
+        if is_quic {
             self.quic_services += 1;
             self.quic_chain_der.push(der);
         }
-        self.chain_depth.push(obs.summary.depth as f64);
+        self.chain_depth.push(depth as f64);
     }
 
     /// Derive the summary from a materialized [`HttpsScanReport`] — the
@@ -241,9 +258,13 @@ impl HttpsScanShard {
         shard.nxdomain = report.nxdomain as u64;
         shard.timeout_refused = report.timeout_refused as u64;
         shard.a_records = report.a_records as u64;
-        shard.names_seen = report.names_seen as u64;
         for obs in &report.observations {
-            shard.fold_observation(obs);
+            shard.fold_observation(
+                obs.is_quic,
+                obs.redirect_hops,
+                obs.summary.total_der,
+                obs.summary.depth,
+            );
         }
         shard
     }
@@ -294,9 +315,7 @@ impl Merge for HttpsScanShard {
 }
 
 /// Fold one population chunk into an [`HttpsScanShard`] without retaining
-/// observations beyond the chunk. Observation goes through the same
-/// [`observe`] helper the materialized path uses, so the streamed funnel
-/// and chain statistics can never diverge from a serial [`scan`].
+/// observations beyond the chunk.
 pub fn fold_records(world: &World, records: &[&DomainRecord]) -> HttpsScanShard {
     fold_iter(world, records.iter().copied())
 }
@@ -304,14 +323,36 @@ pub fn fold_records(world: &World, records: &[&DomainRecord]) -> HttpsScanShard 
 /// [`fold_records`] over any record iterator — the streaming pump hands
 /// workers owned chunks, so this saves building a `Vec<&DomainRecord>`
 /// per chunk on the hot path.
+///
+/// The shard reads only each chain's DER size and depth, so the fold
+/// issues no chain and builds no [`ChainSummary`]: sizes come from the
+/// world's chain-length class cache ([`World::https_chain_der_len_era`],
+/// whose test pins the key against the encoder) and depth from the era's
+/// parent chain. The shard is bit-for-bit [`HttpsScanShard::from_report`]
+/// of a materialized [`scan`]. Cache lookups are tallied per call and
+/// published once.
 pub fn fold_iter<'a>(
     world: &World,
     records: impl IntoIterator<Item = &'a DomainRecord>,
 ) -> HttpsScanShard {
+    let era = CertificateEra::Classical;
     let mut shard = HttpsScanShard::seeded();
+    let mut tally = ChainLenTally::default();
     for record in records {
-        shard.push(record, observe(world, record).as_ref());
+        shard.push_funnel(record);
+        if !record.has_https() {
+            continue;
+        }
+        let (Some(https), Some(der), Some(depth)) = (
+            record.https.as_ref(),
+            world.https_chain_der_len_era(record, era, &mut tally),
+            world.https_chain_depth_era(record, era),
+        ) else {
+            continue;
+        };
+        shard.fold_observation(record.has_quic(), https.redirect_hops, der as usize, depth);
     }
+    tally.publish();
     shard
 }
 

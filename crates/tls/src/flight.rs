@@ -70,23 +70,14 @@ impl ServerFlight {
 
         let plain_cert = messages::certificate_message(params.chain);
         let uncompressed_certificate_len = plain_cert.len();
-        let cert_msg = match params.compression {
-            Some(alg) => {
-                let compressed = messages::compressed_certificate_message(params.chain, alg);
-                // RFC 8879 servers fall back to the plain message if
-                // compression would not help.
-                if compressed.len() < plain_cert.len() {
-                    compressed
-                } else {
-                    plain_cert
-                }
-            }
-            None => plain_cert,
-        };
+        let compressed = params
+            .compression
+            .and_then(|alg| messages::compressed_certificate_message(&plain_cert, alg));
+        let cert_msg = compressed.as_deref().unwrap_or(&plain_cert);
         let certificate_message_len = cert_msg.len();
 
         let mut handshake_crypto = messages::encrypted_extensions(params.seed);
-        handshake_crypto.extend_from_slice(&cert_msg);
+        handshake_crypto.extend_from_slice(cert_msg);
         handshake_crypto
             .extend_from_slice(&messages::certificate_verify(params.leaf_key, params.seed));
         handshake_crypto.extend_from_slice(&messages::finished(params.seed));

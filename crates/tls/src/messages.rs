@@ -402,17 +402,19 @@ pub fn certificate_message(chain: &CertificateChain) -> Vec<u8> {
     handshake_message(HandshakeType::Certificate, &body)
 }
 
-/// Encode a CompressedCertificate message (RFC 8879 §5): the inner
-/// Certificate message compressed with `algorithm`.
-pub fn compressed_certificate_message(chain: &CertificateChain, algorithm: Algorithm) -> Vec<u8> {
-    let inner = certificate_message(chain);
-    let compressed = quicert_compress::compress(algorithm, &inner);
+/// Encode a CompressedCertificate message (RFC 8879 §5) carrying the
+/// encoded Certificate message `plain` compressed with `algorithm`, or
+/// `None` when that message would not be smaller than `plain` — RFC 8879
+/// servers then fall back to sending the plain message.
+pub fn compressed_certificate_message(plain: &[u8], algorithm: Algorithm) -> Option<Vec<u8>> {
+    let compressed = quicert_compress::compress(algorithm, plain);
     let mut body = Vec::with_capacity(compressed.len() + 8);
     body.extend_from_slice(&algorithm.code_point().to_be_bytes());
-    body.extend_from_slice(&u24(inner.len()));
+    body.extend_from_slice(&u24(plain.len()));
     body.extend_from_slice(&u24(compressed.len()));
     body.extend_from_slice(&compressed);
-    handshake_message(HandshakeType::CompressedCertificate, &body)
+    let message = handshake_message(HandshakeType::CompressedCertificate, &body);
+    (message.len() < plain.len()).then_some(message)
 }
 
 /// Encode CertificateVerify. The signature size follows the leaf key
@@ -529,7 +531,8 @@ mod tests {
         let c = chain();
         let plain = certificate_message(&c);
         for alg in quicert_compress::Algorithm::ALL {
-            let compressed = compressed_certificate_message(&c, alg);
+            let compressed =
+                compressed_certificate_message(&plain, alg).expect("compression helps");
             assert!(
                 compressed.len() < plain.len(),
                 "{alg}: {} !< {}",
@@ -537,6 +540,17 @@ mod tests {
                 plain.len()
             );
             assert_eq!(compressed[0], HandshakeType::CompressedCertificate as u8);
+        }
+    }
+
+    #[test]
+    fn incompressible_certificate_falls_back_to_plain() {
+        // Placeholder-random bytes do not compress; the framed message
+        // would only grow, so the server keeps the plain message.
+        let mut plain = vec![0u8; 600];
+        fill(0x0BAD_5EED, &mut plain);
+        for alg in quicert_compress::Algorithm::ALL {
+            assert_eq!(compressed_certificate_message(&plain, alg), None, "{alg}");
         }
     }
 

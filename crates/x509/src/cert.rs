@@ -59,6 +59,13 @@ pub struct TbsCertificate {
 impl TbsCertificate {
     /// DER-encode the TBSCertificate SEQUENCE.
     pub fn encode(&self) -> Vec<u8> {
+        der::sequence(&self.encode_children())
+    }
+
+    /// The encoded TBSCertificate fields in order: version, serial,
+    /// signature algorithm, issuer, validity, subject, SPKI and (when
+    /// present) the `[3]` extensions wrapper.
+    fn encode_children(&self) -> Vec<Vec<u8>> {
         let mut children = Vec::with_capacity(8);
         // version [0] EXPLICIT INTEGER 2 (v3)
         children.push(der::context(0, true, &der::integer_u64(2)));
@@ -71,7 +78,7 @@ impl TbsCertificate {
         if !self.extensions.is_empty() {
             children.push(encode_extensions(&self.extensions));
         }
-        der::sequence(&children)
+        children
     }
 }
 
@@ -115,22 +122,38 @@ pub struct Certificate {
     pub signature: Vec<u8>,
     /// Cached DER encoding.
     encoded: Vec<u8>,
+    /// Field attribution of `encoded`, recorded while encoding it.
+    field_sizes: FieldSizes,
 }
 
 impl Certificate {
     /// Assemble and encode a certificate from its TBS body and signature.
+    ///
+    /// The [`FieldSizes`] attribution is read off the encoded parts here,
+    /// once, so [`Certificate::field_sizes`] never re-encodes.
     pub fn assemble(tbs: TbsCertificate, signature: Vec<u8>) -> Self {
         let signature_alg = tbs.signature_alg;
-        let encoded = der::sequence(&[
-            tbs.encode(),
-            signature_alg.encode_algorithm_identifier(),
-            der::bit_string(&signature, 0),
-        ]);
+        let children = tbs.encode_children();
+        let outer_alg = signature_alg.encode_algorithm_identifier();
+        let signature_value = der::bit_string(&signature, 0);
+        let (subject, issuer, spki) = (children[5].len(), children[3].len(), children[6].len());
+        let extensions = children.get(7).map_or(0, Vec::len);
+        let signature_len = outer_alg.len() + signature_value.len();
+        let encoded = der::sequence(&[der::sequence(&children), outer_alg, signature_value]);
+        let field_sizes = FieldSizes {
+            subject,
+            issuer,
+            spki,
+            extensions,
+            signature: signature_len,
+            other: encoded.len() - subject - issuer - spki - extensions - signature_len,
+        };
         Certificate {
             tbs,
             signature_alg,
             signature,
             encoded,
+            field_sizes,
         }
     }
 
@@ -175,28 +198,10 @@ impl Certificate {
             .sum()
     }
 
-    /// Attribute encoded bytes to the field groups of Fig 2(b).
+    /// Attribute encoded bytes to the field groups of Fig 2(b) (recorded
+    /// at [`Certificate::assemble`]).
     pub fn field_sizes(&self) -> FieldSizes {
-        let subject = self.tbs.subject.encoded_len();
-        let issuer = self.tbs.issuer.encoded_len();
-        let spki = self.tbs.spki.encoded_len();
-        let extensions = if self.tbs.extensions.is_empty() {
-            0
-        } else {
-            encode_extensions(&self.tbs.extensions).len()
-        };
-        let signature = self.signature_alg.encode_algorithm_identifier().len()
-            + der::bit_string(&self.signature, 0).len();
-        let total = self.der_len();
-        let other = total - subject - issuer - spki - extensions - signature;
-        FieldSizes {
-            subject,
-            issuer,
-            spki,
-            extensions,
-            signature,
-            other,
-        }
+        self.field_sizes
     }
 }
 
@@ -376,6 +381,45 @@ mod tests {
         assert_eq!(sizes.total(), cert.der_len());
         assert!(sizes.extensions > sizes.subject);
         assert!(sizes.signature >= 256, "RSA-2048 signature dominates");
+    }
+
+    #[test]
+    fn recorded_field_sizes_match_a_re_encoding() {
+        // The attribution recorded at assembly must equal encoding each
+        // field group afresh, with and without an extensions block.
+        let re_encoded = |cert: &Certificate| {
+            let tbs = &cert.tbs;
+            let extensions = if tbs.extensions.is_empty() {
+                0
+            } else {
+                encode_extensions(&tbs.extensions).len()
+            };
+            let signature = cert.signature_alg.encode_algorithm_identifier().len()
+                + der::bit_string(&cert.signature, 0).len();
+            let (subject, issuer, spki) = (
+                tbs.subject.encoded_len(),
+                tbs.issuer.encoded_len(),
+                tbs.spki.encoded_len(),
+            );
+            FieldSizes {
+                subject,
+                issuer,
+                spki,
+                extensions,
+                signature,
+                other: cert.der_len() - subject - issuer - spki - extensions - signature,
+            }
+        };
+        let bare = CertificateBuilder::new(
+            DistinguishedName::cn("issuer.example"),
+            DistinguishedName::cn("bare.example"),
+            SubjectPublicKeyInfo::new(KeyAlgorithm::MlDsa44, 3),
+            SignatureAlgorithm::MlDsa44,
+        )
+        .build();
+        for cert in [leaf(), bare] {
+            assert_eq!(cert.field_sizes(), re_encoded(&cert));
+        }
     }
 
     #[test]
